@@ -19,6 +19,7 @@ module Tablefmt = Foray_util.Tablefmt
 module Parallel = Foray_util.Parallel
 module Obs = Foray_obs.Obs
 module Span = Foray_obs.Span
+module Verify = Foray_verify.Verify
 
 let jobs = ref (Parallel.default_jobs ())
 let json = ref false
@@ -271,9 +272,9 @@ let model_fidelity b =
     (fun (bench : Suite.bench) ->
       let prog = Minic.Parser.program bench.source in
       let r, trace = run_offline_ok prog in
-      let rep = Validate.replay r.model trace in
+      let rep = Verify.verify r.model trace in
       let exact =
-        List.fold_left (fun a (rr : Validate.ref_report) -> a + rr.exact) 0
+        List.fold_left (fun a (rv : Verify.ref_verdict) -> a + rv.exact) 0
           rep.refs
       in
       Tablefmt.row t
@@ -282,7 +283,7 @@ let model_fidelity b =
           string_of_int rep.covered;
           string_of_int rep.uncovered;
           string_of_int exact;
-          Printf.sprintf "%.2f%%" (100.0 *. Validate.overall rep);
+          Printf.sprintf "%.2f%%" (100.0 *. Verify.accuracy rep);
         ])
     Suite.all;
   Buffer.add_string b (Tablefmt.render t)
@@ -836,7 +837,6 @@ type verify_perf = {
    ground truth, so it fails the harness rather than landing in the
    record. *)
 let measure_verify () =
-  let module Verify = Foray_verify.Verify in
   List.map
     (fun (bench : Suite.bench) ->
       let prog = Minic.Parser.program bench.source in

@@ -49,12 +49,7 @@ let finish_degraded ?(strict = false) ?(json = false) degraded =
   match degraded with
   | [] -> 0
   | d :: _ when strict ->
-      fail_error ~json
-        (match d with
-        | Foray_core.Pipeline.Degraded_budget { budget; limit; spent; _ } ->
-            Ferr.Budget_exceeded { budget; limit; spent }
-        | Foray_core.Pipeline.Degraded_corrupt { offset; kind; salvaged; _ } ->
-            Ferr.Trace_corrupt { offset; kind; events_salvaged = salvaged })
+      fail_error ~json (Foray_core.Pipeline.error_of_degradation d)
   | ds ->
       List.iter
         (fun d ->
@@ -253,26 +248,6 @@ let run_pipeline src ~nexec ~nloc ~scalars =
   | Ok o -> o.Foray_core.Pipeline.result
   | Error e -> Ferr.raise_error e
 
-(* The degradation note a salvaged-but-damaged read deserves; an empty
-   list when the stream came back whole. *)
-let salvage_degradations (salvage : Foray_trace.Tracefile.salvage) =
-  if salvage.resyncs = 0 && not salvage.truncated_tail then []
-  else
-    [
-      Foray_core.Pipeline.Degraded_corrupt
-        {
-          offset =
-            (match salvage.first_errors with (off, _) :: _ -> off | [] -> -1);
-          kind =
-            (match salvage.first_errors with
-            | (_, k) :: _ -> k
-            | [] -> "unknown");
-          salvaged = salvage.events;
-          resyncs = salvage.resyncs;
-          bytes_skipped = salvage.bytes_skipped;
-        };
-    ]
-
 (* Steps 3-4 on a stored trace file: salvages damaged records by default,
    [strict] turns the first corrupt record into E_TRACE_CORRUPT. With
    [shards > 1] the stream is analyzed in parallel and merged — same
@@ -280,15 +255,13 @@ let salvage_degradations (salvage : Foray_trace.Tracefile.salvage) =
    (Pipeline.analyze_trace decides). *)
 let analyze_trace_file ~strict ~json ~nexec ~nloc ?(shards = 1) ?jobs path =
   match Foray_core.Pipeline.analyze_trace ~strict ~shards ?jobs path with
-  | Error { Foray_trace.Tracefile.offset; kind; events_before } ->
-      fail_error ~json
-        (Ferr.Trace_corrupt { offset; kind; events_salvaged = events_before })
+  | Error c -> fail_error ~json (Foray_core.Pipeline.error_of_corruption c)
   | Ok ((tree, _tstats), salvage) ->
       Foray_core.Looptree.flush_metrics tree;
       let thresholds = Foray_core.Filter.{ nexec; nloc } in
       let model = Foray_core.Model.of_tree ~thresholds tree in
       print_string (Foray_core.Model.to_c model);
-      finish_degraded ~json (salvage_degradations salvage)
+      finish_degraded ~json (Foray_core.Pipeline.salvage_degradations salvage)
 
 (* ---- list ----------------------------------------------------------- *)
 
@@ -408,9 +381,7 @@ let trace_cmd =
     end
     else
     match Foray_trace.Tracefile.read_events src with
-    | Error { Foray_trace.Tracefile.offset; kind; events_before } ->
-        fail_error
-          (Ferr.Trace_corrupt { offset; kind; events_salvaged = events_before })
+    | Error c -> fail_error (Foray_core.Pipeline.error_of_corruption c)
     | Ok (events, salvage) ->
         let n = ref 0 in
         Foray_trace.Tracefile.with_sink ~format:target dst (fun sink ->
@@ -420,7 +391,7 @@ let trace_cmd =
                 sink e)
               events);
         Printf.printf "converted %d event(s): %s -> %s\n" !n src dst;
-        finish_degraded (salvage_degradations salvage)
+        finish_degraded (Foray_core.Pipeline.salvage_degradations salvage)
   in
   (* Import a foreign simulator log (the paper's plain "site addr kind"
      lines) into the pipeline's event stream: rewrite it at --out in
@@ -433,10 +404,7 @@ let trace_cmd =
     end
     else
       match Foray_trace.Import.read ~strict src with
-      | Error { Foray_trace.Tracefile.offset; kind; events_before } ->
-          fail_error
-            (Ferr.Trace_corrupt
-               { offset; kind; events_salvaged = events_before })
+      | Error c -> fail_error (Foray_core.Pipeline.error_of_corruption c)
       | Ok (events, salvage) ->
           (match out with
           | Some dst ->
@@ -452,7 +420,7 @@ let trace_cmd =
                 events;
               if Array.length events > limit then
                 Printf.printf "... (truncated at %d events)\n" limit);
-          finish_degraded (salvage_degradations salvage)
+          finish_degraded (Foray_core.Pipeline.salvage_degradations salvage)
   in
   let run prog limit scalars out format convert import strict metrics =
     guard (fun () ->
@@ -636,18 +604,20 @@ let validate_cmd =
           | Ok (o, trace) -> (o.Foray_core.Pipeline.result, trace)
           | Error e -> Ferr.raise_error e
         in
-        let rep = Foray_core.Validate.replay r.model trace in
+        let rep = Foray_verify.Verify.verify r.model trace in
         Printf.printf
           "model covers %d of %d accesses; prediction accuracy %.2f%%\n"
           rep.covered (rep.covered + rep.uncovered)
-          (100.0 *. Foray_core.Validate.overall rep);
-        List.iter
-          (fun (rr : Foray_core.Validate.ref_report) ->
-            Printf.printf "  site %x [%s]: %d/%d exact, %d rebase(s)\n"
-              rr.site
-              (String.concat ">" (List.map string_of_int rr.path))
-              rr.exact rr.checked rr.rebases)
-          rep.refs;
+          (100.0 *. Foray_verify.Verify.accuracy rep);
+        List.map
+          (fun (rv : Foray_verify.Verify.ref_verdict) ->
+            (rv.mref.site, rv.path, rv.exact, rv.checked, rv.rebases))
+          rep.refs
+        |> List.sort compare
+        |> List.iter (fun (site, path, exact, checked, rebases) ->
+               Printf.printf "  site %x [%s]: %d/%d exact, %d rebase(s)\n" site
+                 (String.concat ">" (List.map string_of_int path))
+                 exact checked rebases);
         0)
   in
   Cmd.v
@@ -690,13 +660,15 @@ let verify_cmd =
         (* Render the verdicts and map them onto the exit contract:
            0 all proved, 1 any divergence (printed counterexample),
            3 proved-but-degraded. *)
-        let finish ?(degraded = []) model events =
+        let finish ?(degraded = []) model feed =
           let model =
             match perturb with
             | None -> model
             | Some d -> perturb_model d model
           in
-          let rep = Verify.verify model events in
+          let sink, report = Verify.sink model in
+          feed sink;
+          let rep = report () in
           if json then print_endline (Verify.report_to_json rep)
           else print_string (Verify.report_to_string rep);
           if Verify.diverged rep > 0 then begin
@@ -716,21 +688,14 @@ let verify_cmd =
           match
             Foray_core.Pipeline.analyze_trace ~strict ~shards ?jobs prog
           with
-          | Error { Foray_trace.Tracefile.offset; kind; events_before } ->
-              fail_error ~json
-                (Ferr.Trace_corrupt
-                   { offset; kind; events_salvaged = events_before })
-          | Ok ((tree, _), salvage) -> (
-              let model = Foray_core.Model.of_tree ~thresholds tree in
-              match Foray_trace.Tracefile.read_events prog with
-              | Error { Foray_trace.Tracefile.offset; kind; events_before } ->
-                  fail_error ~json
-                    (Ferr.Trace_corrupt
-                       { offset; kind; events_salvaged = events_before })
-              | Ok (events, _) ->
-                  finish
-                    ~degraded:(salvage_degradations salvage)
-                    model (Array.to_list events))
+          | Error c ->
+              fail_error ~json (Foray_core.Pipeline.error_of_corruption c)
+          | Ok ((tree, _), salvage) ->
+              (* replay the same salvaged stream, straight off the file *)
+              finish
+                ~degraded:(Foray_core.Pipeline.salvage_degradations salvage)
+                (Foray_core.Model.of_tree ~thresholds tree)
+                (fun sink -> ignore (Foray_trace.Tracefile.read prog sink))
         else
           match load_source prog with
           | Error e -> fail_error ~json e
@@ -744,7 +709,7 @@ let verify_cmd =
               | Ok (o, events) ->
                   finish ~degraded:o.Foray_core.Pipeline.degraded
                     o.Foray_core.Pipeline.result.Foray_core.Pipeline.model
-                    events))
+                    (fun sink -> List.iter sink events)))
   in
   let perturb_arg =
     let doc =

@@ -1,11 +1,12 @@
 (* The paper's two-stage workflow with a stored trace, plus model
-   validation:
+   verification:
 
    1. simulate the gsm benchmark, streaming the trace to a binary file
       (the simulator never holds the trace in memory);
    2. re-read the file and run Algorithms 2+3 over it;
    3. check the result matches the online (no-file) analysis;
-   4. replay the trace against the model and report prediction fidelity;
+   4. replay the trace against the model: prediction fidelity and
+      per-reference verdicts;
    5. compare cache vs SPM energy for the same trace's array traffic.
 
    Run with: dune exec examples/trace_workflow.exe *)
@@ -71,14 +72,18 @@ let () =
     (Foray_core.Model.to_c online.model = Foray_core.Model.to_c model);
 
   banner "Stage 4: model fidelity (replay the trace against the model)";
-  let vsink, finish = Foray_core.Validate.sink model in
+  let vsink, finish = Foray_verify.Verify.sink model in
   Foray_trace.Tracefile.iter path vsink;
   let rep = finish () in
-  Printf.printf "covered %d accesses (%.1f%% of all), accuracy %.2f%%\n"
+  Printf.printf
+    "covered %d accesses (%.1f%% of all), accuracy %.2f%%, %d/%d references \
+     proved\n"
     rep.covered
     (100.0 *. float_of_int rep.covered
     /. float_of_int (rep.covered + rep.uncovered))
-    (100.0 *. Foray_core.Validate.overall rep);
+    (100.0 *. Foray_verify.Verify.accuracy rep)
+    (Foray_verify.Verify.proved rep)
+    (List.length rep.refs);
 
   banner "Stage 5: cache vs SPM on this workload (2 KiB)";
   let cmp = Foray_report.Memcompare.run bench ~capacity:2048 in

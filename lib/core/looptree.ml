@@ -1,4 +1,5 @@
 module Event = Foray_trace.Event
+module Loopwalk = Foray_trace.Loopwalk
 module Iset = Foray_util.Iset
 module Obs = Foray_obs.Obs
 
@@ -28,14 +29,15 @@ and refinfo = {
 
 type t = {
   root : node;
-  mutable cur : node;
+  mutable walk : Loopwalk.t;
+  mutable by_ctx : node array;  (* walker context id -> node; root at 0 *)
+  mutable cur : node;  (* the innermost frame's node, for the access path *)
   mutable next_uid : int;
-  (* (node uid, site) -> reference; (node uid, lid) -> child node *)
+  (* (node uid, site) -> reference *)
   ref_tbl : (int * int, refinfo) Hashtbl.t;
-  node_tbl : (int * int, node) Hashtbl.t;
   mutable n_nodes : int;
   mutable max_depth : int;
-  mutable mismatches : int;  (* checkpoints that found no matching node *)
+  mutable merged_mismatches : int;  (* from trees merged into this one *)
   mergeable : bool;  (* refs use Affine.create_logged; tree supports merge *)
   mutable merged : bool;  (* consumed by merge; walking it again is a bug *)
 }
@@ -55,74 +57,63 @@ let mk_node ~uid ~lid ~depth ~parent =
     trip_total = 0;
   }
 
-let create ?(mergeable = false) () =
-  let root = mk_node ~uid:0 ~lid:0 ~depth:0 ~parent:None in
-  {
-    root;
-    cur = root;
-    next_uid = 1;
-    ref_tbl = Hashtbl.create 256;
-    node_tbl = Hashtbl.create 64;
-    n_nodes = 0;
-    max_depth = 0;
-    mismatches = 0;
-    mergeable;
-    merged = false;
-  }
-
-let mergeable t = t.mergeable
-
-let record_trip n =
+let record_trip n iter =
   (* iter+1 is the trip count of this entry (-1 -> body never ran). *)
-  let trip = n.iter + 1 in
+  let trip = iter + 1 in
   if trip < n.trip_min then n.trip_min <- trip;
   if trip > n.trip_max then n.trip_max <- trip;
   n.trip_total <- n.trip_total + trip
 
-let rec pop_to t lid =
-  (* Pop abandoned nodes until the current node's lid matches or the root
-     is reached (checkpoint of a loop we never saw entered). *)
-  if t.cur.lid <> lid then
-    match t.cur.parent with
-    | Some p ->
-        record_trip t.cur;
-        t.cur <- p;
-        pop_to t lid
-    | None -> ()
+(* The node of walker context [c], created on the context's first entry.
+   Contexts are numbered densely in first-entry order, so a new one is
+   always the next slot — and its node uid equals its context id. *)
+let node_of t c =
+  if c <= t.n_nodes then t.by_ctx.(c)
+  else begin
+    let p = t.by_ctx.(Loopwalk.parent t.walk c) in
+    let n =
+      mk_node ~uid:t.next_uid ~lid:(Loopwalk.lid t.walk c)
+        ~depth:(p.depth + 1) ~parent:(Some p)
+    in
+    t.next_uid <- t.next_uid + 1;
+    p.children <- p.children @ [ n ];
+    if c >= Array.length t.by_ctx then begin
+      let a = Array.make (2 * Array.length t.by_ctx) t.root in
+      Array.blit t.by_ctx 0 a 0 (Array.length t.by_ctx);
+      t.by_ctx <- a
+    end;
+    t.by_ctx.(c) <- n;
+    t.n_nodes <- t.n_nodes + 1;
+    if n.depth > t.max_depth then t.max_depth <- n.depth;
+    n
+  end
 
-let enter t lid =
-  let key = (t.cur.uid, lid) in
-  let n =
-    match Hashtbl.find_opt t.node_tbl key with
-    | Some n -> n
-    | None ->
-        let n =
-          mk_node ~uid:t.next_uid ~lid ~depth:(t.cur.depth + 1)
-            ~parent:(Some t.cur)
-        in
-        t.next_uid <- t.next_uid + 1;
-        t.cur.children <- t.cur.children @ [ n ];
-        Hashtbl.add t.node_tbl key n;
-        t.n_nodes <- t.n_nodes + 1;
-        if n.depth > t.max_depth then t.max_depth <- n.depth;
-        n
+let create ?(mergeable = false) () =
+  let root = mk_node ~uid:0 ~lid:0 ~depth:0 ~parent:None in
+  let t =
+    {
+      root;
+      walk = Loopwalk.create ();
+      by_ctx = Array.make 64 root;
+      cur = root;
+      next_uid = 1;
+      ref_tbl = Hashtbl.create 256;
+      n_nodes = 0;
+      max_depth = 0;
+      merged_mismatches = 0;
+      mergeable;
+      merged = false;
+    }
   in
-  n.iter <- -1;
-  n.entries <- n.entries + 1;
-  t.cur <- n
+  let on_enter c =
+    let n = node_of t c in
+    n.entries <- n.entries + 1
+  in
+  let on_close c iter = record_trip t.by_ctx.(c) iter in
+  t.walk <- Loopwalk.create ~on_enter ~on_close ();
+  t
 
-let iter_vector node =
-  (* Iterator values innermost-first along the path to the root. *)
-  let v = Array.make node.depth 0 in
-  let rec fill n i =
-    match n.parent with
-    | None -> ()
-    | Some p ->
-        v.(i) <- n.iter;
-        fill p (i + 1)
-  in
-  fill node 0;
-  v
+let mergeable t = t.mergeable
 
 let observe_access t (a : Event.access) =
   let node = t.cur in
@@ -147,56 +138,44 @@ let observe_access t (a : Event.access) =
         node.refs <- node.refs @ [ r ];
         r
   in
-  Affine.observe info.aff ~iters:(iter_vector node) ~addr:a.addr;
+  Affine.observe info.aff ~iters:(Loopwalk.iter_vector t.walk) ~addr:a.addr;
   info.footprint <- Iset.add_range a.addr (a.addr + a.width) info.footprint;
   info.starts <- Iset.add a.addr info.starts;
   if a.write then info.writes <- info.writes + 1 else info.reads <- info.reads + 1;
   if a.sys then info.sys <- true;
   if a.width > info.width_max then info.width_max <- a.width
 
+(* Only the innermost frame's counter can change on a checkpoint, so
+   copying it after each one keeps every node's [iter] current. *)
+let sync t =
+  t.cur <- t.by_ctx.(Loopwalk.ctx t.walk);
+  t.cur.iter <- Loopwalk.iter t.walk
+
 let sink t : Event.sink = function
   | _ when t.merged -> invalid_arg "Looptree.sink: tree was consumed by merge"
   | Event.Access a -> observe_access t a
-  | Event.Checkpoint { loop; kind } -> (
-      match kind with
-      | Event.Loop_enter -> enter t loop
-      | Event.Body_enter ->
-          pop_to t loop;
-          if t.cur.lid = loop then t.cur.iter <- t.cur.iter + 1
-          else begin
-            (* defensive: body without a preceding enter *)
-            t.mismatches <- t.mismatches + 1;
-            enter t loop
-          end
-      | Event.Body_exit ->
-          pop_to t loop;
-          if t.cur.lid <> loop then t.mismatches <- t.mismatches + 1
-      | Event.Loop_exit ->
-          pop_to t loop;
-          if t.cur.lid = loop then begin
-            record_trip t.cur;
-            match t.cur.parent with
-            | Some p -> t.cur <- p
-            | None -> ()
-          end
-          else t.mismatches <- t.mismatches + 1)
+  | Event.Checkpoint { loop; kind } ->
+      Loopwalk.checkpoint t.walk kind loop;
+      sync t
 
 (* --- sharded analysis: context restore, merge, finalize ---------------- *)
 
 let restore_context t ctx =
   if not t.mergeable then
     invalid_arg "Looptree.restore_context: not a mergeable tree";
-  if t.cur != t.root || t.n_nodes > 0 then
+  if Loopwalk.depth t.walk > 0 || t.n_nodes > 0 then
     invalid_arg "Looptree.restore_context: walker already started";
-  List.iter
-    (fun (lid, iter) ->
-      enter t lid;
-      (* The Loop_enter that opened this node ran in an earlier shard,
-         which owns the entry count; here the node is only scaffolding to
-         put the walker back on the sequential walker's stack. *)
-      t.cur.entries <- t.cur.entries - 1;
-      t.cur.iter <- iter)
-    ctx
+  (* The Loop_enters that opened these frames ran in an earlier shard,
+     which owns their entry counts; here the nodes are only scaffolding
+     to put the walker back on the sequential walker's stack. *)
+  Loopwalk.restore t.walk ctx;
+  let d = Loopwalk.depth t.walk in
+  for i = d - 1 downto 0 do
+    (node_of t (Loopwalk.ctx_at t.walk i)).iter <- Loopwalk.iter_at t.walk i
+  done;
+  sync t
+
+let mismatches t = t.merged_mismatches + Loopwalk.mismatches t.walk
 
 let rec renumber t n =
   n.uid <- t.next_uid;
@@ -241,12 +220,13 @@ let merge a b =
   if not (a.mergeable && b.mergeable) then
     invalid_arg "Looptree.merge: trees must be created with ~mergeable:true";
   merge_node a a.root b.root;
-  a.mismatches <- a.mismatches + b.mismatches;
+  a.merged_mismatches <- mismatches a + mismatches b;
   b.merged <- true;
-  (* The walker tables describe a single shard's stack; after a merge the
-     tree is a read-only result, so drop them and refuse further events. *)
+  (* The walker describes a single shard's stack; after a merge the tree
+     is a read-only result, so drop it and refuse further events. *)
   a.merged <- true;
-  Hashtbl.reset a.node_tbl;
+  a.walk <- Loopwalk.create ();
+  a.by_ctx <- [| a.root |];
   Hashtbl.reset a.ref_tbl;
   a.n_nodes <- 0;
   a.max_depth <- 0;
@@ -318,7 +298,6 @@ let rec path n =
 
 let n_nodes t = t.n_nodes
 let max_depth t = t.max_depth
-let mismatches t = t.mismatches
 
 let m_nodes = Obs.gauge "looptree.nodes"
 let m_depth = Obs.gauge "looptree.max_depth"
@@ -328,5 +307,5 @@ let flush_metrics t =
   if Obs.enabled () then begin
     Obs.set_max m_nodes t.n_nodes;
     Obs.set_max m_depth t.max_depth;
-    Obs.add m_mismatches t.mismatches
+    Obs.add m_mismatches (mismatches t)
   end

@@ -8,9 +8,10 @@
     functions "appear to be inlined" in the FORAY model and where the
     inter-function duplication hints come from (§4 of the paper).
 
-    Each loop node maintains its current iteration counter; each memory
-    reference observed while a node is current is attached to that node and
-    fed, together with the current iterator vector of the enclosing nodes
+    The checkpoint stack itself is {!Foray_trace.Loopwalk}'s: each walker
+    context is one node, so a node's iteration counter is its frame's.
+    Each memory reference observed while a node is current is attached to
+    that node and fed, together with the walker's iterator vector
     (innermost first), to its {!Affine} solver. The walker is a trace
     {e sink}, so analysis runs online during simulation: no trace is stored
     and space is proportional to the tree, not the trace (§4). *)
@@ -52,9 +53,9 @@ val create : ?mergeable:bool -> unit -> t
 val mergeable : t -> bool
 
 (** The event sink implementing Algorithm 2 (plus Algorithm 3 per access).
-    Robust to missing [body_exit]/[loop_exit] checkpoints from [break],
-    [continue] or [return]: any checkpoint for a loop below the current
-    position pops abandoned nodes. *)
+    Checkpoints move the stack by {!Foray_trace.Loopwalk}'s rules, so it
+    is robust to missing [body_exit]/[loop_exit] checkpoints from [break],
+    [continue] or [return]; a closed frame records its trip count. *)
 val sink : t -> Foray_trace.Event.sink
 
 (** The root node (inspect after the trace has been consumed). *)
@@ -75,8 +76,9 @@ val n_nodes : t -> int
 (** Deepest nesting level seen (0 for an empty tree). *)
 val max_depth : t -> int
 
-(** Checkpoints whose loop id matched no live node — a body or exit for a
-    loop the walker never saw entered. A well-formed instrumented trace
+(** Checkpoints whose loop id matched no open frame
+    ({!Foray_trace.Loopwalk.mismatches}) — a body or exit for a loop the
+    walker never saw entered. A well-formed instrumented trace
     has zero; nonzero means the producer lost or reordered checkpoint
     events. *)
 val mismatches : t -> int

@@ -63,6 +63,33 @@ let degradation_to_json = function
          \"salvaged\": %d, \"resyncs\": %d, \"bytes_skipped\": %d}"
         offset (Error.json_escape kind) salvaged resyncs bytes_skipped
 
+let salvage_degradations (salvage : Tracefile.salvage) =
+  if salvage.resyncs = 0 && not salvage.truncated_tail then []
+  else
+    [
+      Degraded_corrupt
+        {
+          offset =
+            (match salvage.first_errors with (off, _) :: _ -> off | [] -> -1);
+          kind =
+            (match salvage.first_errors with
+            | (_, k) :: _ -> k
+            | [] -> "unknown");
+          salvaged = salvage.events;
+          resyncs = salvage.resyncs;
+          bytes_skipped = salvage.bytes_skipped;
+        };
+    ]
+
+let error_of_degradation = function
+  | Degraded_budget { budget; limit; spent; _ } ->
+      Error.Budget_exceeded { budget; limit; spent }
+  | Degraded_corrupt { offset; kind; salvaged; _ } ->
+      Error.Trace_corrupt { offset; kind; events_salvaged = salvaged }
+
+let error_of_corruption { Tracefile.offset; kind; events_before } =
+  Error.Trace_corrupt { offset; kind; events_salvaged = events_before }
+
 type outcome = { result : result; degraded : degradation list }
 
 let loop_functions (prog : Ast.program) =

@@ -51,6 +51,17 @@ val degradation_to_string : degradation -> string
 (** JSON object mirroring {!degradation_to_string}. *)
 val degradation_to_json : degradation -> string
 
+(** The degradation a salvaged read deserves: one [Degraded_corrupt]
+    naming the first damage, or [[]] when the stream came back whole. *)
+val salvage_degradations : Foray_trace.Tracefile.salvage -> degradation list
+
+(** A degradation as the typed error it becomes under [--strict]:
+    [E_BUDGET] or [E_TRACE_CORRUPT]. *)
+val error_of_degradation : degradation -> Error.t
+
+(** A strict read's first corruption as [E_TRACE_CORRUPT]. *)
+val error_of_corruption : Foray_trace.Tracefile.corruption -> Error.t
+
 type outcome = { result : result; degraded : degradation list }
 
 (** [run ?config ?thresholds prog] executes the full flow on a parsed

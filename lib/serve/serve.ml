@@ -277,14 +277,6 @@ let cache_add srv key e =
   Obs.set (Lazy.force m_cache_entries) entries;
   Obs.set (Lazy.force m_cache_bytes) total
 
-(* [finish_degraded]'s strict arm, daemon-side: the first shortfall as the
-   typed error the CLI would have exited with. *)
-let error_of_degradation = function
-  | Pipeline.Degraded_budget { budget; limit; spent; _ } ->
-      Ferr.Budget_exceeded { budget; limit; spent }
-  | Pipeline.Degraded_corrupt { offset; kind; salvaged; _ } ->
-      Ferr.Trace_corrupt { offset; kind; events_salvaged = salvaged }
-
 type request = {
   rq_op : string;
   rq_program : string option;
@@ -419,7 +411,7 @@ let analyze_source srv rq ~rid src =
       match outcome with
       | Error e -> Error e
       | Ok { Pipeline.degraded = d :: _; _ } when rq.rq_strict ->
-          Error (error_of_degradation d)
+          Error (Pipeline.error_of_degradation d)
       | Ok { Pipeline.result = r; degraded } ->
           let p = payload_of_outcome r in
           if rq.rq_cache && degraded = [] then cache_add srv key (Model p);
@@ -449,35 +441,12 @@ let analyze_trace srv rq ~rid path =
                     ~shards:rq.rq_shards ?jobs:rq.rq_jobs path)
             in
             match res with
-            | Error { Foray_trace.Tracefile.offset; kind; events_before } ->
-                Error
-                  (Ferr.Trace_corrupt
-                     { offset; kind; events_salvaged = events_before })
+            | Error c -> Error (Pipeline.error_of_corruption c)
             | Ok ((tree, tstats), salvage) ->
                 let model =
                   Model.of_tree ~thresholds:rq.rq_thresholds tree
                 in
-                let open Foray_trace.Tracefile in
-                let degraded =
-                  if salvage.resyncs = 0 && not salvage.truncated_tail then []
-                  else
-                    [
-                      Pipeline.Degraded_corrupt
-                        {
-                          offset =
-                            (match salvage.first_errors with
-                            | (off, _) :: _ -> off
-                            | [] -> -1);
-                          kind =
-                            (match salvage.first_errors with
-                            | (_, k) :: _ -> k
-                            | [] -> "unknown");
-                          salvaged = salvage.events;
-                          resyncs = salvage.resyncs;
-                          bytes_skipped = salvage.bytes_skipped;
-                        };
-                    ]
-                in
+                let degraded = Pipeline.salvage_degradations salvage in
                 let p =
                   {
                     mp_model = Model.to_c model;
@@ -676,7 +645,8 @@ let handle_spm srv j ~rid =
       in
       match outcome with
       | Error e -> Error e
-      | Ok (_, (d :: _)) when rq.rq_strict -> Error (error_of_degradation d)
+      | Ok (_, d :: _) when rq.rq_strict ->
+          Error (Pipeline.error_of_degradation d)
       | Ok (body, degraded) ->
           if rq.rq_cache && degraded = [] then cache_add srv key (Spm body);
           Ok (rq, strategy_s, body, false, degraded, digest, Some sw))
@@ -701,27 +671,6 @@ let render_spm ~id ~rid ~strategy_s ~cached ~degraded ~digest ~dt_ms ~trace
 
 (* ------------------------------------------------------------------ *)
 (* The verify op: per-reference model-replay verdicts                 *)
-
-let corruption_error { Foray_trace.Tracefile.offset; kind; events_before } =
-  Ferr.Trace_corrupt { offset; kind; events_salvaged = events_before }
-
-let salvage_degradations (salvage : Foray_trace.Tracefile.salvage) =
-  if salvage.resyncs = 0 && not salvage.truncated_tail then []
-  else
-    [
-      Pipeline.Degraded_corrupt
-        {
-          offset =
-            (match salvage.first_errors with (off, _) :: _ -> off | [] -> -1);
-          kind =
-            (match salvage.first_errors with
-            | (_, k) :: _ -> k
-            | [] -> "unknown");
-          salvaged = salvage.events;
-          resyncs = salvage.resyncs;
-          bytes_skipped = salvage.bytes_skipped;
-        };
-    ]
 
 (* Verify a stored trace file: extract the model from it (Steps 3-4,
    optionally sharded), then replay the same event stream against the
@@ -748,24 +697,23 @@ let verify_trace srv rq ~rid path =
                     Pipeline.analyze_trace ~strict:rq.rq_strict
                       ~shards:rq.rq_shards ?jobs:rq.rq_jobs path
                   with
-                  | Error c -> Error (corruption_error c)
-                  | Ok ((tree, _), salvage) -> (
+                  | Error c -> Error (Pipeline.error_of_corruption c)
+                  | Ok ((tree, _), salvage) ->
                       let model =
                         Model.of_tree ~thresholds:rq.rq_thresholds tree
                       in
-                      match Foray_trace.Tracefile.read_events path with
-                      | Error c -> Error (corruption_error c)
-                      | Ok (events, _) ->
-                          let vsink, finish = Foray_verify.Verify.sink model in
-                          Array.iter vsink events;
-                          Ok
-                            ( Foray_verify.Verify.report_to_json (finish ()),
-                              salvage_degradations salvage )))
+                      (* replay the same salvaged stream, straight off the
+                         file *)
+                      let vsink, finish = Foray_verify.Verify.sink model in
+                      ignore (Foray_trace.Tracefile.read path vsink);
+                      Ok
+                        ( Foray_verify.Verify.report_to_json (finish ()),
+                          Pipeline.salvage_degradations salvage ))
             in
             match res with
             | Error e -> Error e
             | Ok (_, d :: _) when rq.rq_strict ->
-                Error (error_of_degradation d)
+                Error (Pipeline.error_of_degradation d)
             | Ok (body, degraded) ->
                 if rq.rq_cache && degraded = [] then
                   cache_add srv key (Verify body);
@@ -829,7 +777,8 @@ let handle_verify srv j ~rid =
           in
           match outcome with
           | Error e -> Error e
-          | Ok (_, d :: _) when rq.rq_strict -> Error (error_of_degradation d)
+          | Ok (_, d :: _) when rq.rq_strict ->
+              Error (Pipeline.error_of_degradation d)
           | Ok (body, degraded) ->
               if rq.rq_cache && degraded = [] then
                 cache_add srv key (Verify body);

@@ -139,51 +139,6 @@ let decode_opt ic =
       in
       Some e
 
-(* --- cut walker -------------------------------------------------------- *)
-
-(* A mini-walker mirroring Looptree.sink's stack transitions exactly —
-   including the defensive mismatch paths for break/continue/return and
-   malformed checkpoints — so a context captured at any point puts a fresh
-   walker in precisely the state the sequential walker had there. The
-   stack is innermost-first; the bottom element is the root sentinel
-   (lid 0), which like the root node can match but never pops. Shared by
-   the v1 array sharder and the v2 frame encoder, which stamps each
-   frame with the walker state before its first event. *)
-
-type cutwalker = { mutable cw_stack : (int * int) list }
-
-let cutwalker () = { cw_stack = [ (0, -1) ] }
-
-(* Outermost first, sentinel dropped — the [restore_context] form. *)
-let cutwalker_context w =
-  match List.rev w.cw_stack with _ :: outer -> outer | [] -> []
-
-let cutwalker_step w = function
-  | Event.Access _ -> ()
-  | Event.Checkpoint { loop; kind } -> (
-      let pop_to loop =
-        let rec go = function
-          | [ _ ] as bottom -> bottom
-          | ((l, _) :: _) as s when l = loop -> s
-          | _ :: tl -> go tl
-          | [] -> assert false
-        in
-        w.cw_stack <- go w.cw_stack
-      in
-      match kind with
-      | Event.Loop_enter -> w.cw_stack <- (loop, -1) :: w.cw_stack
-      | Event.Body_enter -> (
-          pop_to loop;
-          match w.cw_stack with
-          | (l, it) :: tl when l = loop -> w.cw_stack <- (l, it + 1) :: tl
-          | s -> w.cw_stack <- (loop, -1) :: s)
-      | Event.Body_exit -> pop_to loop
-      | Event.Loop_exit -> (
-          pop_to loop;
-          match w.cw_stack with
-          | (l, _) :: (_ :: _ as tl) when l = loop -> w.cw_stack <- tl
-          | _ -> ()))
-
 (* --- writers ---------------------------------------------------------- *)
 
 (* Events accumulate in one persistent buffer that is blitted to the
@@ -259,8 +214,9 @@ let sink_to_file ?(frame_events = default_frame_events) ~format path =
          early on a checkpoint once it holds [frame_events] events — that
          frame boundary is then checkpoint-aligned and usable as a shard
          cut — and unconditionally at 4x that size so checkpoint-free
-         access bursts cannot grow a frame without bound. *)
-      let walker = cutwalker () in
+         access bursts cannot grow a frame without bound. Each frame
+         header carries the loop context before its first event. *)
+      let walker = Loopwalk.create () in
       let records = Buffer.create chunk in
       let dict = Buffer.create 256 in
       let tbl = Hashtbl.create 64 in
@@ -358,13 +314,13 @@ let sink_to_file ?(frame_events = default_frame_events) ~format path =
         | _ -> ());
         try
           if !nevents = 0 then begin
-            ctx := cutwalker_context walker;
+            ctx := Loopwalk.context walker;
             first_ck := (match e with Event.Checkpoint _ -> true | _ -> false)
           end;
           encode2 e;
           nevents := !nevents + 1;
           Obs.incr m_events_written;
-          cutwalker_step walker e
+          Loopwalk.sink walker e
         with ex ->
           (try
              flush_frame ();
@@ -1079,21 +1035,21 @@ type shard = {
 let shards ~n events =
   if n < 1 then invalid_arg "Tracefile.shards: n must be >= 1";
   let total = Array.length events in
-  let w = cutwalker () in
+  let w = Loopwalk.create () in
   let cuts = ref [] (* (start index, context), newest first *) in
   let next = ref 1 in
   for idx = 0 to total - 1 do
     (if !next < n && idx > 0 && idx >= !next * total / n then
        match events.(idx) with
        | Event.Checkpoint _ ->
-           cuts := (idx, cutwalker_context w) :: !cuts;
+           cuts := (idx, Loopwalk.context w) :: !cuts;
            (* One cut satisfies every boundary target passed so far; a
               checkpoint-poor trace therefore yields fewer shards. *)
            while !next < n && idx >= !next * total / n do
              incr next
            done
        | Event.Access _ -> ());
-    cutwalker_step w events.(idx)
+    Loopwalk.sink w events.(idx)
   done;
   let starts = Array.of_list ((0, []) :: List.rev !cuts) in
   Array.to_list

@@ -172,7 +172,9 @@ val read_events :
     {!Foray_core.Looptree} walker (see [Looptree.restore_context]) resumes
     exactly where the previous shard stops. Cuts are checkpoint-aligned —
     a shard never starts in the middle of an access burst — and computed
-    by a single linear pre-pass that replays only the checkpoint stack.
+    by a single linear pre-pass of {!Loopwalk}, the walker the analyzers
+    themselves use, so a shard's context is {!Loopwalk.context} at its
+    cut. The v2 encoder stamps every frame header the same way.
     For v2 files prefer {!frame_shards}, which gets the same guarantee
     from the frame index without decoding events. *)
 

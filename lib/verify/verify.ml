@@ -1,5 +1,6 @@
 module Model = Foray_core.Model
 module Event = Foray_trace.Event
+module Loopwalk = Foray_trace.Loopwalk
 
 type counterexample = {
   cx_site : int;
@@ -18,6 +19,7 @@ type ref_verdict = {
   mref : Model.mref;
   path : int list;
   checked : int;
+  exact : int;
   rebases : int;
   verdict : verdict;
 }
@@ -38,6 +40,12 @@ let unseen rep =
   List.length
     (List.filter (fun r -> r.verdict = Proved && r.checked = 0) rep.refs)
 
+let accuracy rep =
+  let sum f = List.fold_left (fun a r -> a + f r) 0 rep.refs in
+  let checked = sum (fun r -> r.checked) in
+  if checked = 0 then 1.0
+  else float_of_int (sum (fun r -> r.exact)) /. float_of_int checked
+
 let all_proved rep = List.for_all (fun r -> r.verdict = Proved) rep.refs
 
 let first_divergence rep =
@@ -55,148 +63,130 @@ type cell = {
   mutable c_base : int;  (** constant in effect (re-based for partials) *)
   mutable c_seen : bool;
   mutable c_checked : int;
+  mutable c_exact : int;
   mutable c_rebases : int;
   mutable c_excl : int list;  (** excluded-iterator values at previous exec *)
   mutable c_cx : counterexample option;  (** first divergence *)
 }
 
 type walker = {
-  table : (string, cell) Hashtbl.t;  (** key: path + site *)
-  mutable stack : (int * int ref) list;  (** (lid, iter), innermost first *)
+  walk : Loopwalk.t;
+  table : (int list * int, cell) Hashtbl.t;  (** key: model path, site *)
+  resolved : (int * int, cell option) Hashtbl.t;
+      (** key: walker context, site — each pair resolved against [table]
+          once *)
   mutable covered : int;
   mutable uncovered : int;
   mutable events : int;
 }
-
-let key path site =
-  String.concat ">" (List.map string_of_int path) ^ "@" ^ string_of_int site
 
 let build (model : Model.t) =
   let table = Hashtbl.create 64 in
   List.iter
     (fun (chain, (mref : Model.mref)) ->
       let path = List.map (fun (l : Model.mloop) -> l.lid) chain in
-      Hashtbl.replace table (key path mref.site)
+      Hashtbl.replace table (path, mref.site)
         {
           c_mref = mref;
           c_rpath = path;
           c_base = mref.const;
           c_seen = false;
           c_checked = 0;
+          c_exact = 0;
           c_rebases = 0;
           c_excl = [];
           c_cx = None;
         })
     (Model.all_refs model);
-  { table; stack = []; covered = 0; uncovered = 0; events = 0 }
-
-let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t
+  {
+    walk = Loopwalk.create ();
+    table;
+    resolved = Hashtbl.create 64;
+    covered = 0;
+    uncovered = 0;
+    events = 0;
+  }
 
 (* Evaluate [base + sum c*i] with iterator values looked up by loop id,
-   innermost occurrence first — the same discipline Algorithm 3 and
-   [Validate] use. *)
+   innermost occurrence first — the same discipline Algorithm 3 uses. *)
 let eval_terms terms base iter_of =
   List.fold_left (fun acc (c, lid) -> acc + (c * iter_of lid)) base terms
 
+let cell_at w site =
+  let key = (Loopwalk.ctx w.walk, site) in
+  match Hashtbl.find_opt w.resolved key with
+  | Some cell -> cell
+  | None ->
+      let cell =
+        Hashtbl.find_opt w.table (Loopwalk.path w.walk (fst key), site)
+      in
+      Hashtbl.add w.resolved key cell;
+      cell
+
+let check w cell site addr =
+  w.covered <- w.covered + 1;
+  let iter_of = Loopwalk.iter_of w.walk in
+  if not cell.c_seen then begin
+    cell.c_seen <- true;
+    (* partial references: establish the base at first sighting (their
+       constant only describes the last extraction span); full affine
+       references keep the model's absolute constant *)
+    if cell.c_mref.Model.partial then begin
+      let predicted = eval_terms cell.c_mref.Model.terms cell.c_base iter_of in
+      cell.c_base <- cell.c_base + (addr - predicted)
+    end
+  end;
+  let predicted = eval_terms cell.c_mref.Model.terms cell.c_base iter_of in
+  (* the access matched this reference's full path, so the walker's frames
+     are its innermost-first iteration vector and the excluded iterators
+     are the positions at or beyond [m] *)
+  let m = cell.c_mref.Model.m in
+  let excl =
+    List.init
+      (max 0 (Loopwalk.depth w.walk - m))
+      (fun k -> Loopwalk.iter_at w.walk (m + k))
+  in
+  if predicted = addr then cell.c_exact <- cell.c_exact + 1
+  else begin
+    if cell.c_mref.Model.partial && excl <> cell.c_excl then begin
+      (* an excluded iterator moved: the documented legitimate re-base
+         point of a partial reference *)
+      cell.c_rebases <- cell.c_rebases + 1;
+      cell.c_base <- cell.c_base + (addr - predicted)
+    end
+    else begin
+      (* divergence: the affine window failed on its own ground *)
+      if cell.c_cx = None then
+        cell.c_cx <-
+          Some
+            {
+              cx_site = site;
+              cx_path = cell.c_rpath;
+              cx_iters =
+                List.init (Loopwalk.depth w.walk) (fun i ->
+                    (Loopwalk.lid_at w.walk i, Loopwalk.iter_at w.walk i));
+              cx_base = cell.c_base;
+              cx_predicted = predicted;
+              cx_actual = addr;
+              cx_exec = cell.c_checked;
+              cx_event = w.events;
+            };
+      (* keep partial bases tracking the stream so later executions are
+         still checked against something meaningful; full refs stay on
+         the absolute constant *)
+      if cell.c_mref.Model.partial then
+        cell.c_base <- cell.c_base + (addr - predicted)
+    end
+  end;
+  cell.c_checked <- cell.c_checked + 1;
+  cell.c_excl <- excl
+
 let on_event w = function
-  | Event.Checkpoint { loop; kind } -> (
-      match kind with
-      | Event.Loop_enter -> w.stack <- (loop, ref (-1)) :: w.stack
-      | Event.Body_enter ->
-          if List.exists (fun (l, _) -> l = loop) w.stack then begin
-            (* pop abandoned levels, as in Algorithm 2 *)
-            let rec pop = function
-              | (l, it) :: rest when l = loop ->
-                  incr it;
-                  (l, it) :: rest
-              | _ :: rest -> pop rest
-              | [] -> assert false
-            in
-            w.stack <- pop w.stack
-          end
-          else w.stack <- (loop, ref 0) :: w.stack
-      | Event.Body_exit ->
-          if List.exists (fun (l, _) -> l = loop) w.stack then begin
-            let rec pop = function
-              | (l, _) :: _ as s when l = loop -> s
-              | _ :: rest -> pop rest
-              | [] -> assert false
-            in
-            w.stack <- pop w.stack
-          end
-      | Event.Loop_exit ->
-          if List.exists (fun (l, _) -> l = loop) w.stack then begin
-            let rec pop = function
-              | (l, _) :: rest when l = loop -> rest
-              | _ :: rest -> pop rest
-              | [] -> assert false
-            in
-            w.stack <- pop w.stack
-          end)
+  | Event.Checkpoint { loop; kind } -> Loopwalk.checkpoint w.walk kind loop
   | Event.Access { site; addr; _ } ->
-      let path = List.rev_map fst w.stack in
-      (match Hashtbl.find_opt w.table (key path site) with
+      (match cell_at w site with
       | None -> w.uncovered <- w.uncovered + 1
-      | Some cell ->
-          w.covered <- w.covered + 1;
-          let iter_of lid =
-            match List.find_opt (fun (l, _) -> l = lid) w.stack with
-            | Some (_, it) -> !it
-            | None -> 0
-          in
-          (* the stack matched this reference's full path, so the
-             innermost-first iteration vector is the stack itself and the
-             excluded iterators are the positions at or beyond [m] *)
-          let excl =
-            drop cell.c_mref.Model.m
-              (List.map (fun (_, it) -> !it) w.stack)
-          in
-          if not cell.c_seen then begin
-            cell.c_seen <- true;
-            (* partial references: establish the base at first sighting
-               (their constant only describes the last extraction span);
-               full affine references keep the model's absolute constant *)
-            if cell.c_mref.Model.partial then begin
-              let predicted =
-                eval_terms cell.c_mref.Model.terms cell.c_base iter_of
-              in
-              cell.c_base <- cell.c_base + (addr - predicted)
-            end
-          end;
-          let predicted =
-            eval_terms cell.c_mref.Model.terms cell.c_base iter_of
-          in
-          if predicted <> addr then begin
-            if cell.c_mref.Model.partial && excl <> cell.c_excl then begin
-              (* an excluded iterator moved: the documented legitimate
-                 re-base point of a partial reference *)
-              cell.c_rebases <- cell.c_rebases + 1;
-              cell.c_base <- cell.c_base + (addr - predicted)
-            end
-            else begin
-              (* divergence: the affine window failed on its own ground *)
-              if cell.c_cx = None then
-                cell.c_cx <-
-                  Some
-                    {
-                      cx_site = site;
-                      cx_path = cell.c_rpath;
-                      cx_iters = List.map (fun (l, it) -> (l, !it)) w.stack;
-                      cx_base = cell.c_base;
-                      cx_predicted = predicted;
-                      cx_actual = addr;
-                      cx_exec = cell.c_checked;
-                      cx_event = w.events;
-                    };
-              (* keep partial bases tracking the stream so later
-                 executions are still checked against something
-                 meaningful; full refs stay on the absolute constant *)
-              if cell.c_mref.Model.partial then
-                cell.c_base <- cell.c_base + (addr - predicted)
-            end
-          end;
-          cell.c_checked <- cell.c_checked + 1;
-          cell.c_excl <- excl);
+      | Some cell -> check w cell site addr);
       w.events <- w.events + 1
 
 let finish w =
@@ -207,6 +197,7 @@ let finish w =
           mref = c.c_mref;
           path = c.c_rpath;
           checked = c.c_checked;
+          exact = c.c_exact;
           rebases = c.c_rebases;
           verdict =
             (match c.c_cx with None -> Proved | Some cx -> Diverges cx);

@@ -3,15 +3,16 @@
     with a counterexample — that each reference's affine expression
     reproduces the program's addresses.
 
-    This is the proof-flavoured counterpart of {!Foray_core.Validate}:
-    where [Validate] reports an accuracy {e ratio}, this module renders a
-    {e verdict} per model reference, closing ROADMAP item 4(b) in the
-    functional-equivalence-checking direction of Shashidhar et al.
+    Each model reference gets a {e verdict}, in the
+    functional-equivalence-checking direction of Shashidhar et al.; the
+    per-reference [exact] counts and {!accuracy} give the fidelity ratio
+    beside it.
 
-    {b Verdict semantics.} The verifier walks the trace with the same
-    loop-stack discipline as Algorithm 2, attributes each access to the
-    model reference at the same (loop path, site), and checks the model's
-    prediction:
+    {b Verdict semantics.} The verifier walks the trace with
+    {!Foray_trace.Loopwalk} — the walker extraction itself uses — so it
+    places each access in the same loop context Algorithm 2 did,
+    attributes it to the model reference at the same (loop path, site),
+    and checks the model's prediction:
 
     - {e Full affine} references ([partial = false]) must reproduce every
       access from the model's absolute constant term alone — no alignment,
@@ -58,6 +59,9 @@ type ref_verdict = {
   mref : Foray_core.Model.mref;
   path : int list;  (** enclosing loop ids, outermost first *)
   checked : int;  (** accesses attributed to this reference *)
+  exact : int;
+      (** accesses the expression predicted with the base in effect —
+          [checked - rebases] for a proved reference *)
   rebases : int;  (** legitimate partial-reference re-bases *)
   verdict : verdict;
 }
@@ -79,6 +83,12 @@ val diverged : report -> int
 val unseen : report -> int
 
 val all_proved : report -> bool
+
+(** Prediction accuracy over covered accesses: summed [exact] over summed
+    [checked] (1.0 when nothing was checked). A measure of how much
+    behaviour the model abstracts away: full affine references predict
+    every access, partial references miss once per re-base. *)
+val accuracy : report -> float
 
 (** First diverging reference in report order, with its counterexample. *)
 val first_divergence : report -> (ref_verdict * counterexample) option

@@ -284,10 +284,11 @@ let t_concurrent_mixed_workload () =
   (* 6 client domains, each its own connection, each issuing a mixed
      analyze/extract stream over three programs. Every response must be
      well-formed, successful, and carry the same model bytes per
-     (program) as every other client saw. *)
+     (program) as every other client saw. The checks run on the main
+     domain: Alcotest's output is not safe to share across domains. *)
   with_daemon ~jobs:2 (fun path ->
       let programs = [| "adpcm"; "fig4a"; "fig7a" |] in
-      let per_client =
+      let replies =
         Parallel.map ~jobs:6
           (fun ci ->
             let c = Serve.Client.connect path in
@@ -297,24 +298,30 @@ let t_concurrent_mixed_workload () =
                 List.init 6 (fun i ->
                     let prog = programs.((ci + i) mod 3) in
                     let op = if i mod 2 = 0 then "analyze" else "extract" in
-                    let j =
+                    ( ci,
+                      i,
+                      prog,
                       Serve.Client.rpc c
                         [ ("op", Printf.sprintf "\"%s\"" op);
-                          ("program", Printf.sprintf "\"%s\"" prog) ]
-                    in
-                    Alcotest.(check string)
-                      (Printf.sprintf "client %d req %d ok" ci i)
-                      "ok" (status j);
-                    Alcotest.(check bool)
-                      (Printf.sprintf "client %d req %d has model" ci i)
-                      true
-                      (model j <> "");
-                    Alcotest.(check bool)
-                      (Printf.sprintf "client %d req %d not degraded" ci i)
-                      true
-                      (degraded j = []);
-                    (prog, model j))))
+                          ("program", Printf.sprintf "\"%s\"" prog) ] ))))
           (List.init 6 Fun.id)
+      in
+      let per_client =
+        List.map
+          (List.map (fun (ci, i, prog, j) ->
+               Alcotest.(check string)
+                 (Printf.sprintf "client %d req %d ok" ci i)
+                 "ok" (status j);
+               Alcotest.(check bool)
+                 (Printf.sprintf "client %d req %d has model" ci i)
+                 true
+                 (model j <> "");
+               Alcotest.(check bool)
+                 (Printf.sprintf "client %d req %d not degraded" ci i)
+                 true
+                 (degraded j = []);
+               (prog, model j)))
+          replies
       in
       (* cross-client agreement: one model per program, regardless of who
          asked, in what order, and whether the cache answered *)
@@ -343,7 +350,27 @@ let t_client_failures_isolated () =
         ~finally:(fun () -> try Sys.remove corrupt with Sys_error _ -> ())
         (fun () ->
           let rounds = 4 in
-          let outcomes =
+          let request role =
+            match role with
+            | 0 ->
+                (* budget exhaustion, strict: a typed error *)
+                [ ("op", "\"analyze\""); ("program", "\"adpcm\"");
+                  ("max_steps", "40"); ("strict", "true"); ("cache", "false") ]
+            | 1 ->
+                (* corrupt trace: error or salvaged-degraded, but always a
+                   well-formed response *)
+                [ ("op", "\"analyze\"");
+                  ( "trace",
+                    Printf.sprintf "\"%s\""
+                      (Foray_core.Error.json_escape corrupt) );
+                  ("strict", "true"); ("cache", "false") ]
+            | _ ->
+                (* the clean client must stay clean *)
+                [ ("op", "\"analyze\""); ("program", "\"fig4a\"") ]
+          in
+          (* the checks run on the main domain: Alcotest's output is not
+             safe to share across domains *)
+          let replies =
             Parallel.map ~jobs:3
               (fun role ->
                 let c = Serve.Client.connect path in
@@ -351,53 +378,27 @@ let t_client_failures_isolated () =
                   ~finally:(fun () -> Serve.Client.close c)
                   (fun () ->
                     List.init rounds (fun _ ->
-                        match role with
-                        | 0 ->
-                            (* budget exhaustion, strict: a typed error *)
-                            let j =
-                              Serve.Client.rpc c
-                                [ ("op", "\"analyze\"");
-                                  ("program", "\"adpcm\"");
-                                  ("max_steps", "40"); ("strict", "true");
-                                  ("cache", "false") ]
-                            in
-                            Alcotest.(check string) "strict budget -> E_BUDGET"
-                              "E_BUDGET" (err_code j);
-                            `Failed
-                        | 1 ->
-                            (* corrupt trace: error or salvaged-degraded,
-                               but always a well-formed response *)
-                            let j =
-                              Serve.Client.rpc c
-                                [ ("op", "\"analyze\"");
-                                  ( "trace",
-                                    Printf.sprintf "\"%s\""
-                                      (Foray_core.Error.json_escape corrupt) );
-                                  ("strict", "true"); ("cache", "false") ]
-                            in
-                            Alcotest.(check bool)
-                              "corrupt trace -> typed error or degraded ok"
-                              true
-                              (err_code j = "E_TRACE_CORRUPT"
-                              || (status j = "ok" && degraded j <> []));
-                            `Failed
-                        | _ ->
-                            (* the clean client must stay clean *)
-                            let j =
-                              Serve.Client.rpc c
-                                [ ("op", "\"analyze\"");
-                                  ("program", "\"fig4a\"") ]
-                            in
-                            Alcotest.(check string) "clean client ok" "ok"
-                              (status j);
-                            Alcotest.(check bool) "clean client not degraded"
-                              true
-                              (degraded j = []);
-                            `Clean)))
+                        (role, Serve.Client.rpc c (request role)))))
               [ 0; 1; 2 ]
           in
           Alcotest.(check int) "all rounds ran" (3 * rounds)
-            (List.length (List.concat outcomes));
+            (List.length (List.concat replies));
+          List.iter
+            (fun (role, j) ->
+              match role with
+              | 0 ->
+                  Alcotest.(check string) "strict budget -> E_BUDGET"
+                    "E_BUDGET" (err_code j)
+              | 1 ->
+                  Alcotest.(check bool)
+                    "corrupt trace -> typed error or degraded ok" true
+                    (err_code j = "E_TRACE_CORRUPT"
+                    || (status j = "ok" && degraded j <> []))
+              | _ ->
+                  Alcotest.(check string) "clean client ok" "ok" (status j);
+                  Alcotest.(check bool) "clean client not degraded" true
+                    (degraded j = []))
+            (List.concat replies);
           (* daemon is still healthy after the mixed failure traffic *)
           let c = Serve.Client.connect path in
           Fun.protect

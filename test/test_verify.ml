@@ -62,41 +62,19 @@ let roundtrip format events =
       | Ok (arr, _) -> Array.to_list arr
       | Error _ -> Alcotest.fail "trace roundtrip failed")
 
-(* Validate and Verify must tell one coherent story: a perfect replay
-   ratio exactly when every reference proves without a single re-base,
-   and identical per-reference re-base counts. *)
-let check_validate_agreement ~ctx (model : Model.t) trace
-    (rep : Verify.report) =
-  let vrep = Validate.replay model trace in
-  let perfect = Validate.overall vrep = 1.0 in
-  let proved_norebase = Verify.all_proved rep && total_rebases rep = 0 in
-  if perfect <> proved_norebase then
-    Alcotest.failf
-      "%s: overall=%.6f but verify says all_proved=%b rebases=%d" ctx
-      (Validate.overall vrep) (Verify.all_proved rep) (total_rebases rep);
+(* The fidelity counts the verifier reports beside its verdicts: a proved
+   reference mispredicts exactly at its re-bases, and a proved full-affine
+   reference never re-bases. *)
+let check_exact ~ctx (rep : Verify.report) =
   List.iter
     (fun (rv : Verify.ref_verdict) ->
-      match
-        List.find_opt
-          (fun (vr : Validate.ref_report) ->
-            vr.site = rv.mref.Model.site && vr.path = rv.path)
-          vrep.refs
-      with
-      | None -> Alcotest.failf "%s: verify ref missing from validate" ctx
-      | Some vr ->
-          if vr.checked <> rv.checked then
-            Alcotest.failf "%s: checked disagree (%d vs %d)" ctx vr.checked
-              rv.checked;
-          if Verify.(rv.verdict = Proved) && vr.rebases <> rv.rebases then
-            Alcotest.failf "%s: rebases disagree at site %x (%d vs %d)" ctx
-              rv.mref.Model.site vr.rebases rv.rebases;
-          (* a proved full-affine ref leaves Validate nothing to miss *)
-          if
-            Verify.(rv.verdict = Proved)
-            && (not rv.mref.Model.partial)
-            && vr.exact <> vr.checked
-          then
-            Alcotest.failf "%s: proved full-affine ref not fully exact" ctx)
+      if Verify.(rv.verdict = Proved) then begin
+        if rv.exact <> rv.checked - rv.rebases then
+          Alcotest.failf "%s: site %x exact %d <> checked %d - rebases %d" ctx
+            rv.mref.Model.site rv.exact rv.checked rv.rebases;
+        if (not rv.mref.Model.partial) && rv.rebases <> 0 then
+          Alcotest.failf "%s: proved full-affine ref re-based" ctx
+      end)
     rep.refs
 
 (* --- figures and benchmarks ------------------------------------------ *)
@@ -112,7 +90,7 @@ let t_fig4a_proves () =
 let t_partial_rebases_prove () =
   (* fig7b's data-dependent offsets make partial references: they must
      still prove, re-basing exactly where an excluded iterator moved *)
-  let r, trace, rep =
+  let _, _, rep =
     verify_source ~thresholds:(th 10 5) Foray_suite.Figures.fig7b
   in
   Alcotest.(check bool) "has partial refs" true
@@ -121,12 +99,12 @@ let t_partial_rebases_prove () =
        rep.refs);
   Alcotest.(check bool) "all proved" true (Verify.all_proved rep);
   Alcotest.(check bool) "partials re-based" true (total_rebases rep > 0);
-  check_validate_agreement ~ctx:"fig7b" r.Pipeline.model trace rep
+  check_exact ~ctx:"fig7b" rep
 
 let t_benchmarks_prove () =
   List.iter
     (fun (b : Foray_suite.Suite.bench) ->
-      let r, trace, rep = verify_source b.source in
+      let _, _, rep = verify_source b.source in
       if not (Verify.all_proved rep) then begin
         match Verify.first_divergence rep with
         | Some (rv, cx) ->
@@ -137,7 +115,7 @@ let t_benchmarks_prove () =
       end;
       Alcotest.(check int) (b.name ^ " nothing unseen") 0 (Verify.unseen rep);
       Alcotest.(check bool) (b.name ^ " refs checked") true (rep.covered > 0);
-      check_validate_agreement ~ctx:b.name r.Pipeline.model trace rep)
+      check_exact ~ctx:b.name rep)
     Foray_suite.Suite.all
 
 (* --- boundary nests --------------------------------------------------- *)
@@ -155,13 +133,13 @@ let t_zero_trip_loop () =
     \  return 0;\n\
      }\n"
   in
-  let r, trace, rep = verify_source ~thresholds:(th 1 1) src in
+  let _, _, rep = verify_source ~thresholds:(th 1 1) src in
   Alcotest.(check bool) "all proved" true (Verify.all_proved rep);
   Alcotest.(check bool) "B captured and checked" true
     (List.exists
        (fun (rv : Verify.ref_verdict) -> rv.checked = 8)
        rep.refs);
-  check_validate_agreement ~ctx:"zero-trip" r.Pipeline.model trace rep
+  check_exact ~ctx:"zero-trip" rep
 
 let t_single_iteration_nest () =
   (* outer loop runs exactly once: the inner coefficient solves, the
@@ -177,18 +155,18 @@ let t_single_iteration_nest () =
     \  return 0;\n\
      }\n"
   in
-  let r, trace, rep = verify_source ~thresholds:(th 1 1) src in
+  let _, _, rep = verify_source ~thresholds:(th 1 1) src in
   Alcotest.(check bool) "all proved" true (Verify.all_proved rep);
   Alcotest.(check bool) "the eight executions were checked" true
     (List.exists
        (fun (rv : Verify.ref_verdict) -> rv.checked = 8)
        rep.refs);
-  check_validate_agreement ~ctx:"single-iter" r.Pipeline.model trace rep
+  check_exact ~ctx:"single-iter" rep
 
 let t_fully_degenerate_nest () =
   (* a 1x1 nest executes its reference once: no iterator ever solves, so
      Step 4 purges it (has_iterator) and verification is vacuous — no
-     refs, everything uncovered, and Validate agrees at overall = 1.0 *)
+     refs, everything uncovered, accuracy vacuously 1.0 *)
   let src =
     "int A[8];\n\
      int main() {\n\
@@ -200,12 +178,13 @@ let t_fully_degenerate_nest () =
     \  return 0;\n\
      }\n"
   in
-  let r, trace, rep = verify_source ~thresholds:(th 1 1) src in
+  let _, _, rep = verify_source ~thresholds:(th 1 1) src in
   Alcotest.(check int) "empty model" 0 (List.length rep.refs);
   Alcotest.(check bool) "vacuously proved" true (Verify.all_proved rep);
   Alcotest.(check int) "nothing covered" 0 rep.covered;
   Alcotest.(check int) "every access uncovered" rep.events rep.uncovered;
-  check_validate_agreement ~ctx:"degenerate" r.Pipeline.model trace rep
+  Alcotest.(check (float 0.0)) "vacuous accuracy" 1.0 (Verify.accuracy rep);
+  check_exact ~ctx:"degenerate" rep
 
 let t_empty_stream_vacuous () =
   let prog = Minic.Parser.program Foray_suite.Figures.fig4a in
@@ -216,6 +195,109 @@ let t_empty_stream_vacuous () =
     (Verify.unseen rep);
   Alcotest.(check int) "nothing covered" 0 rep.covered;
   Alcotest.(check int) "no events" 0 rep.events
+
+(* --- one loop-context walker ------------------------------------------- *)
+
+module Event = Foray_trace.Event
+module Loopwalk = Foray_trace.Loopwalk
+
+let ck loop kind = Event.Checkpoint { loop; kind }
+
+let t_orphan_body_proves () =
+  (* A salvaged or imported trace can open with a Body_enter whose
+     Loop_enter was lost. Extraction starts that body at iteration -1 and
+     so extracts A7[1004 + 4*i5]; the verifier must place every access in
+     the same context and prove the model on its own trace. *)
+  let trace =
+    List.concat
+      (List.init 30 (fun i ->
+           [
+             ck 5 Event.Body_enter;
+             Event.Access
+               { site = 7; addr = 1000 + (4 * i); write = false; sys = false;
+                 width = 4 };
+             ck 5 Event.Body_exit;
+           ]))
+    @ [ ck 5 Event.Loop_exit ]
+  in
+  let tree = Looptree.create () in
+  List.iter (Looptree.sink tree) trace;
+  Alcotest.(check int) "the orphan body is a mismatch" 1
+    (Looptree.mismatches tree);
+  let model = Model.of_tree tree in
+  match Model.all_refs model with
+  | [ (_, mref) ] ->
+      Alcotest.(check int) "constant from iteration -1" 1004 mref.Model.const;
+      let rep = Verify.verify model trace in
+      (match Verify.first_divergence rep with
+      | Some (_, cx) ->
+          Alcotest.failf "diverges: %s" (Verify.counterexample_to_string cx)
+      | None -> ());
+      Alcotest.(check int) "every access checked" 30 rep.covered
+  | refs -> Alcotest.failf "expected one reference, got %d" (List.length refs)
+
+(* Loopwalk's stack after each checkpoint kind, from the stack
+   [(1, 0); (2, 1)], for a loop id on the stack below the innermost
+   frame, an absent one, and the root sentinel's 0: the resulting
+   context, the mismatch count, and the frames closed (innermost first). *)
+let t_loopwalk_transitions () =
+  let cases =
+    Event.
+      [
+        (Loop_enter, 1, [ (1, 0); (2, 1); (1, -1) ], 0, []);
+        (Body_enter, 1, [ (1, 1) ], 0, [ (2, 1) ]);
+        (Body_exit, 1, [ (1, 0) ], 0, [ (2, 1) ]);
+        (Loop_exit, 1, [], 0, [ (2, 1); (1, 0) ]);
+        (Loop_enter, 9, [ (1, 0); (2, 1); (9, -1) ], 0, []);
+        (Body_enter, 9, [ (9, -1) ], 1, [ (2, 1); (1, 0) ]);
+        (Body_exit, 9, [], 1, [ (2, 1); (1, 0) ]);
+        (Loop_exit, 9, [], 1, [ (2, 1); (1, 0) ]);
+        (Loop_enter, 0, [ (1, 0); (2, 1); (0, -1) ], 0, []);
+        (Body_enter, 0, [], 0, [ (2, 1); (1, 0) ]);
+        (Body_exit, 0, [], 0, [ (2, 1); (1, 0) ]);
+        (* the sentinel is closed but never popped *)
+        (Loop_exit, 0, [], 0, [ (2, 1); (1, 0); (0, -1) ]);
+      ]
+  in
+  List.iter
+    (fun (kind, lid, want_ctx, want_mismatches, want_closed) ->
+      let name = Printf.sprintf "%s %d" (Event.string_of_ckind kind) lid in
+      let closed = ref [] in
+      let w =
+        Loopwalk.create ~on_close:(fun c it -> closed := (c, it) :: !closed) ()
+      in
+      List.iter (Loopwalk.sink w)
+        [ ck 1 Event.Loop_enter; ck 1 Event.Body_enter; ck 2 Event.Loop_enter;
+          ck 2 Event.Body_enter; ck 2 Event.Body_enter ];
+      Loopwalk.checkpoint w kind lid;
+      Alcotest.(check (list (pair int int))) (name ^ ": stack") want_ctx
+        (Loopwalk.context w);
+      Alcotest.(check int) (name ^ ": depth") (List.length want_ctx)
+        (Loopwalk.depth w);
+      Alcotest.(check int) (name ^ ": mismatches") want_mismatches
+        (Loopwalk.mismatches w);
+      Alcotest.(check (list (pair int int))) (name ^ ": closed") want_closed
+        (List.rev_map (fun (c, it) -> (Loopwalk.lid w c, it)) !closed);
+      (* the context id names the whole loop-id path *)
+      Alcotest.(check (list int)) (name ^ ": path") (List.map fst want_ctx)
+        (Loopwalk.path w (Loopwalk.ctx w)))
+    cases;
+  (* a body of loop 0 at the root advances the sentinel's counter *)
+  let w = Loopwalk.create () in
+  Loopwalk.checkpoint w Event.Body_enter 0;
+  Alcotest.(check int) "sentinel counter" 0 (Loopwalk.iter w);
+  (* a restored walker continues exactly like the one it was cut from *)
+  let a = Loopwalk.create () and b = Loopwalk.create () in
+  List.iter (Loopwalk.sink a)
+    [ ck 3 Event.Loop_enter; ck 3 Event.Body_enter; ck 4 Event.Loop_enter ];
+  Loopwalk.restore b (Loopwalk.context a);
+  List.iter
+    (fun w ->
+      List.iter (Loopwalk.sink w)
+        [ ck 4 Event.Body_enter; ck 3 Event.Body_enter ])
+    [ a; b ];
+  Alcotest.(check (list (pair int int))) "restore" (Loopwalk.context a)
+    (Loopwalk.context b)
 
 (* --- determinism across analysis configurations ----------------------- *)
 
@@ -332,17 +414,7 @@ let campaign_case (seed, nests, cfg) =
           g.Progen.source
     | None -> assert false
   end;
-  List.iter
-    (fun (rv : Verify.ref_verdict) ->
-      if (not rv.mref.Model.partial) && rv.rebases <> 0 then
-        QCheck2.Test.fail_reportf
-          "seed %d nests %d %s: full-affine ref re-based" seed nests
-          (cfg_name cfg))
-    rep.refs;
-  (* 2. Validate tells the same story *)
-  check_validate_agreement
-    ~ctx:(Printf.sprintf "seed %d %s" seed (cfg_name cfg))
-    r.Pipeline.model trace rep;
+  check_exact ~ctx:(Printf.sprintf "seed %d %s" seed (cfg_name cfg)) rep;
   true
 
 let gen_campaign =
@@ -405,6 +477,9 @@ let tests =
     Alcotest.test_case "fully degenerate 1x1 nest is purged" `Quick
       t_fully_degenerate_nest;
     Alcotest.test_case "empty stream is vacuous" `Quick t_empty_stream_vacuous;
+    Alcotest.test_case "orphan body_enter proves on its own trace" `Quick
+      t_orphan_body_proves;
+    Alcotest.test_case "loopwalk transitions" `Quick t_loopwalk_transitions;
     Alcotest.test_case "verdicts identical across seq/sharded x v1/v2" `Quick
       t_seq_sharded_v1_v2_identical;
     Alcotest.test_case "perturbed model diverges faithfully" `Quick
