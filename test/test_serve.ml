@@ -712,6 +712,196 @@ let t_spm_op () =
           let j = resp "{\"op\": \"ping\"}" in
           Alcotest.(check string) "still alive" "ok" (status j)))
 
+(* ---- stored traces and verify over the wire ---------------------------- *)
+
+module Pipeline = Foray_core.Pipeline
+module Model = Foray_core.Model
+module Tracefile = Foray_trace.Tracefile
+module Verify = Foray_verify.Verify
+
+let jstr s = Printf.sprintf "\"%s\"" (Foray_core.Error.json_escape s)
+
+(* fig4a is the paper's small figure nest; at the default Step-4
+   thresholds its only reference is purged, so verify runs at 1/1. *)
+let fig4a_thresholds = Foray_core.Filter.{ nexec = 1; nloc = 1 }
+
+(* [program]'s recorded trace written once per format to temp files. *)
+let with_trace_files program formats f =
+  let src =
+    match Foray_suite.Suite.load program with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Foray_core.Error.to_string e)
+  in
+  let _, events = Tutil.run_offline (Minic.Parser.program src) in
+  let paths =
+    List.map
+      (fun format ->
+        let p = Filename.temp_file "foray_serve_trace" ".trace" in
+        Tracefile.save ~format p events;
+        p)
+      formats
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths)
+    (fun () -> f paths)
+
+let parse_json s =
+  match Json.parse s with Ok j -> j | Error e -> Alcotest.failf "JSON: %s" e
+
+let t_analyze_trace_path () =
+  (* analyze by "trace" path: the wire model is the local stored-trace
+     analysis, on v1 and v2 files, sequential and sharded *)
+  with_trace_files "adpcm" [ Tracefile.Binary; Tracefile.Binary2 ]
+    (fun paths ->
+      with_daemon (fun path ->
+          let c = Serve.Client.connect path in
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close c)
+            (fun () ->
+              List.iter
+                (fun tpath ->
+                  let local =
+                    match Pipeline.analyze_trace tpath with
+                    | Ok ((tree, _), _) -> Model.to_c (Model.of_tree tree)
+                    | Error _ -> Alcotest.fail "local trace analysis failed"
+                  in
+                  List.iter
+                    (fun shards ->
+                      let j =
+                        Serve.Client.rpc c
+                          [ ("op", "\"analyze\""); ("trace", jstr tpath);
+                            ("shards", string_of_int shards);
+                            ("cache", "false") ]
+                      in
+                      Alcotest.(check string)
+                        (Printf.sprintf "shards %d ok" shards)
+                        "ok" (status j);
+                      Alcotest.(check string)
+                        (Printf.sprintf "shards %d wire model = local" shards)
+                        local (model j))
+                    [ 1; 4 ];
+                  let rq () =
+                    Serve.Client.rpc c
+                      [ ("op", "\"analyze\""); ("trace", jstr tpath) ]
+                  in
+                  let cold = rq () in
+                  let warm = rq () in
+                  Alcotest.(check bool) "trace cold is a miss" false
+                    (cached cold);
+                  Alcotest.(check bool) "trace warm is a hit" true (cached warm);
+                  Alcotest.(check string) "trace warm model identical"
+                    (model cold) (model warm))
+                paths)))
+
+let t_verify_op () =
+  (* verify by program, by digest and by "trace" path: the "verify" field
+     is the local report; warm repeats are cached and identical *)
+  let src =
+    match Foray_suite.Suite.load "fig4a" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Foray_core.Error.to_string e)
+  in
+  let m, events =
+    Tutil.run_offline ~thresholds:fig4a_thresholds (Minic.Parser.program src)
+  in
+  let local = parse_json (Verify.report_to_json (Verify.verify m.Pipeline.model events)) in
+  Alcotest.(check bool) "local report proves" true
+    (Verify.all_proved (Verify.verify m.Pipeline.model events));
+  let verify_field j =
+    match Json.member "verify" j with
+    | Some v -> v
+    | None -> Alcotest.fail "verify response without a verify field"
+  in
+  with_trace_files "fig4a" [ Tracefile.Binary ] (fun tpaths ->
+      let tpath = List.hd tpaths in
+      let local_trace =
+        match Pipeline.analyze_trace tpath with
+        | Ok ((tree, _), _) ->
+            let model = Model.of_tree ~thresholds:fig4a_thresholds tree in
+            parse_json
+              (Verify.report_to_json
+                 (Verify.verify model (Tracefile.load tpath)))
+        | Error _ -> Alcotest.fail "local trace analysis failed"
+      in
+      with_daemon (fun path ->
+          let c = Serve.Client.connect path in
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close c)
+            (fun () ->
+              let rq addr =
+                Serve.Client.rpc c
+                  ([ ("op", "\"verify\""); ("nexec", "1"); ("nloc", "1") ]
+                  @ addr)
+              in
+              let check_pair what addr want =
+                let cold = rq addr in
+                Alcotest.(check string) (what ^ " ok") "ok" (status cold);
+                Alcotest.(check bool) (what ^ " cold is a miss") false
+                  (cached cold);
+                Alcotest.(check bool) (what ^ " wire report = local") true
+                  (verify_field cold = want);
+                let warm = rq addr in
+                Alcotest.(check bool) (what ^ " warm is a hit") true
+                  (cached warm);
+                Alcotest.(check bool) (what ^ " warm report identical") true
+                  (verify_field warm = verify_field cold);
+                cold
+              in
+              let by_prog = check_pair "program" [ ("program", "\"fig4a\"") ] local in
+              let digest =
+                match Json.member "digest" by_prog with
+                | Some (Json.Str d) -> d
+                | _ -> Alcotest.fail "verify response without digest"
+              in
+              let by_digest = rq [ ("digest", jstr digest) ] in
+              Alcotest.(check string) "digest ok" "ok" (status by_digest);
+              Alcotest.(check bool) "digest shares the program's entry" true
+                (cached by_digest);
+              Alcotest.(check bool) "digest wire report = local" true
+                (verify_field by_digest = local);
+              ignore (check_pair "trace" [ ("trace", jstr tpath) ] local_trace))))
+
+let t_inline_trace_spm_verify () =
+  (* "trace": true is honoured by every compute op, not only analyze *)
+  with_daemon (fun path ->
+      let c = Serve.Client.connect path in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          List.iter
+            (fun (op, extra) ->
+              let j =
+                Serve.Client.rpc c
+                  ([ ("op", jstr op); ("program", "\"fig4a\"");
+                     ("cache", "false"); ("trace", "true") ]
+                  @ extra)
+              in
+              Alcotest.(check string) (op ^ " traced ok") "ok" (status j);
+              let tr =
+                match Json.member "trace" j with
+                | Some t -> t
+                | None -> Alcotest.failf "%s: trace field missing" op
+              in
+              Alcotest.(check bool) (op ^ " root is the request node") true
+                (Json.member "name" tr = Some (Json.Str "request"));
+              let ms = Option.get (jfloat (Json.member "ms" j)) in
+              let dur = Option.get (jfloat (Json.member "dur_us" tr)) in
+              Alcotest.(check bool) (op ^ " root duration = latency") true
+                (Float.abs (dur -. (ms *. 1000.0))
+                <= Float.max 1000.0 (0.05 *. ms *. 1000.0));
+              (match Json.member "children" tr with
+              | Some (Json.Arr (_ :: _)) -> ()
+              | _ -> Alcotest.failf "%s: trace tree has no children" op);
+              let plain =
+                Serve.Client.rpc c
+                  ([ ("op", jstr op); ("program", "\"fig4a\"") ] @ extra)
+              in
+              Alcotest.(check bool) (op ^ " no trace unless asked") true
+                (Json.member "trace" plain = None))
+            [ ("spm", [ ("spm_bytes", "512") ]);
+              ("verify", [ ("nexec", "1"); ("nloc", "1") ]) ]))
+
 let t_shutdown_removes_socket () =
   let path = Serve.temp_socket_path () in
   let cfg = { (Serve.default_config ~socket_path:path) with Serve.jobs = 1 } in
@@ -748,6 +938,12 @@ let tests =
     Alcotest.test_case "access log and slow breakdown" `Quick
       t_access_log_and_slow;
     Alcotest.test_case "spm op over the wire" `Quick t_spm_op;
+    Alcotest.test_case "analyze by trace path, v1 and v2, sharded" `Quick
+      t_analyze_trace_path;
+    Alcotest.test_case "verify by program, digest and trace path" `Quick
+      t_verify_op;
+    Alcotest.test_case "inline trace tree on spm and verify" `Quick
+      t_inline_trace_spm_verify;
     Alcotest.test_case "shutdown removes socket" `Quick
       t_shutdown_removes_socket;
   ]
