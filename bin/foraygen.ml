@@ -1287,9 +1287,7 @@ let serve_config ?access_log ?slow_ms ~socket ~jobs ~cache_mb ~max_steps_cap
     slow_ms;
   }
 
-(* Counter value out of a [metrics] response, the over-the-wire way (the
-   smoke check must exercise the protocol, not peek at the in-process
-   registry). *)
+(* Counter value out of a [metrics] response. *)
 let wire_counter resp name =
   match Sjson.member "metrics" resp with
   | Some m -> (
@@ -1298,134 +1296,6 @@ let wire_counter resp name =
           match Sjson.member name c with Some (Sjson.Int i) -> i | _ -> 0)
       | None -> 0)
   | None -> 0
-
-(* The @serve-smoke contract: fresh daemon on a temp socket, cold analyze
-   (a miss), warm analyze (a hit, byte-identical model), the hit visible
-   through the metrics verb, then a clean shutdown that removes the
-   socket. One process, no backgrounding — fits a dune rule. *)
-let run_serve_smoke ~jobs ~cache_mb =
-  let path = Serve.temp_socket_path () in
-  let srv = Serve.start (serve_config ~socket:path ~jobs ~cache_mb ~max_steps_cap:None ()) in
-  let failures = ref 0 in
-  let check cond msg =
-    if not cond then begin
-      incr failures;
-      Printf.eprintf "serve-smoke: FAIL: %s\n" msg
-    end
-  in
-  let c = Serve.Client.connect path in
-  Fun.protect
-    ~finally:(fun () -> Serve.Client.close c)
-    (fun () ->
-      let analyze () =
-        Serve.Client.rpc c
-          [ ("op", "\"analyze\""); ("program", "\"adpcm\"") ]
-      in
-      let cold = analyze () in
-      check (Sjson.member "status" cold = Some (Sjson.Str "ok"))
-        "cold analyze did not succeed";
-      check (Sjson.member "cached" cold = Some (Sjson.Bool false))
-        "cold analyze claimed a cache hit";
-      let warm = analyze () in
-      check (Sjson.member "cached" warm = Some (Sjson.Bool true))
-        "warm analyze was not served from the cache";
-      check (Sjson.member "model" cold = Sjson.member "model" warm)
-        "cached model differs from the uncached one";
-      check (Sjson.member "model" cold <> None)
-        "analyze response has no model";
-      let metrics = Serve.Client.rpc c [ ("op", "\"metrics\"") ] in
-      check (wire_counter metrics "serve.cache.hits" >= 1)
-        "metrics verb shows no cache hit";
-      check (wire_counter metrics "serve.cache.misses" >= 1)
-        "metrics verb shows no cache miss");
-  Serve.Client.shutdown path;
-  Serve.wait srv;
-  check (not (Sys.file_exists path)) "socket not removed on shutdown";
-  if !failures = 0 then begin
-    Printf.printf "serve-smoke: OK (cold miss, warm hit, clean shutdown)\n";
-    0
-  end
-  else 1
-
-(* The @verify-smoke contract: verify fig4a locally (every reference must
-   prove), then ask a fresh daemon to verify the same program over the
-   wire — the wire report must match the local one structurally, the warm
-   repeat must come from the cache with the identical report, and the
-   daemon must shut down cleanly. *)
-let run_verify_smoke ~jobs ~cache_mb =
-  (* Thresholds 1/1: fig4a is the paper's small figure nest, and the
-     default Step-4 thresholds would purge its only reference. *)
-  let thresholds = Foray_core.Filter.{ nexec = 1; nloc = 1 } in
-  let local =
-    match load_source "fig4a" with
-    | Error e -> Ferr.raise_error e
-    | Ok src -> (
-        let p = Minic.Parser.program src in
-        match Foray_core.Pipeline.run_offline ~thresholds p with
-        | Error e -> Ferr.raise_error e
-        | Ok (o, events) ->
-            Verify.verify
-              o.Foray_core.Pipeline.result.Foray_core.Pipeline.model events)
-  in
-  let path = Serve.temp_socket_path () in
-  let srv =
-    Serve.start
-      (serve_config ~socket:path ~jobs ~cache_mb ~max_steps_cap:None ())
-  in
-  let failures = ref 0 in
-  let check cond msg =
-    if not cond then begin
-      incr failures;
-      Printf.eprintf "verify-smoke: FAIL: %s\n" msg
-    end
-  in
-  check (Verify.all_proved local) "local verify of fig4a has divergences";
-  check (Verify.proved local > 0) "local verify of fig4a proved nothing";
-  let local_json =
-    match Sjson.parse (Verify.report_to_json local) with
-    | Ok j -> Some j
-    | Error _ -> None
-  in
-  check (local_json <> None) "local verify report is not valid JSON";
-  let c = Serve.Client.connect path in
-  Fun.protect
-    ~finally:(fun () -> Serve.Client.close c)
-    (fun () ->
-      let rpc () =
-        Serve.Client.rpc c
-          [
-            ("op", "\"verify\""); ("program", "\"fig4a\""); ("nexec", "1");
-            ("nloc", "1");
-          ]
-      in
-      let cold = rpc () in
-      check
-        (Sjson.member "status" cold = Some (Sjson.Str "ok"))
-        "cold verify did not succeed";
-      check
-        (Sjson.member "cached" cold = Some (Sjson.Bool false))
-        "cold verify claimed a cache hit";
-      check
-        (Sjson.member "verify" cold = local_json)
-        "wire verify report differs from the local one";
-      let warm = rpc () in
-      check
-        (Sjson.member "cached" warm = Some (Sjson.Bool true))
-        "warm verify was not served from the cache";
-      check
-        (Sjson.member "verify" warm = Sjson.member "verify" cold)
-        "cached verify report differs from the uncached one");
-  Serve.Client.shutdown path;
-  Serve.wait srv;
-  check (not (Sys.file_exists path)) "socket not removed on shutdown";
-  if !failures = 0 then begin
-    Printf.printf
-      "verify-smoke: OK (%d reference(s) proved, wire report = local, warm \
-       hit, clean shutdown)\n"
-      (Verify.proved local);
-    0
-  end
-  else 1
 
 (* ---- top: live daemon dashboard -------------------------------------- *)
 
@@ -1529,144 +1399,6 @@ let run_top ~socket ~interval ~once ~json =
       in
       loop ())
 
-(* ---- telemetry smoke -------------------------------------------------- *)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-(* The @telemetry-smoke contract: daemon with an access log and slow-ms 0
-   on a temp socket; brief soak; the metrics_text scrape carries the
-   serve families and non-zero window gauges; a "trace": true analyze
-   returns a span tree whose root duration equals the reported latency;
-   top --once --json works against the live daemon; after shutdown the
-   access log is valid JSONL with at least one slow span breakdown. *)
-let run_telemetry_smoke ~jobs ~cache_mb =
-  let path = Serve.temp_socket_path () in
-  let log_path = Filename.temp_file "foray-access" ".jsonl" in
-  let srv =
-    Serve.start
-      (serve_config ~access_log:log_path ~slow_ms:0 ~socket:path ~jobs
-         ~cache_mb ~max_steps_cap:None ())
-  in
-  let failures = ref 0 in
-  let check cond msg =
-    if not cond then begin
-      incr failures;
-      Printf.eprintf "telemetry-smoke: FAIL: %s\n" msg
-    end
-  in
-  let c = Serve.Client.connect path in
-  Fun.protect
-    ~finally:(fun () -> Serve.Client.close c)
-    (fun () ->
-      (* soak: first analyze is a miss, the rest hits *)
-      for _ = 1 to 3 do
-        ignore
-          (Serve.Client.rpc c
-             [ ("op", "\"analyze\""); ("program", "\"adpcm\"") ]);
-        ignore
-          (Serve.Client.rpc c
-             [ ("op", "\"extract\""); ("program", "\"adpcm\"") ])
-      done;
-      (* inline span tree, forced uncached so the pool actually runs *)
-      let tr =
-        Serve.Client.rpc c
-          [
-            ("op", "\"analyze\"");
-            ("program", "\"adpcm\"");
-            ("cache", "false");
-            ("trace", "true");
-          ]
-      in
-      check (Sjson.member "rid" tr <> None) "response carries no rid";
-      (match (Sjson.member "trace" tr, Sjson.member "ms" tr) with
-      | Some trace, Some ms ->
-          let ms = jnum (Some ms) in
-          let dur = jnum (Sjson.member "dur_us" trace) in
-          check
-            (Sjson.member "name" trace = Some (Sjson.Str "request"))
-            "trace root is not \"request\"";
-          check
-            (Float.abs (dur -. (ms *. 1000.0))
-            <= Float.max 1000.0 (0.05 *. ms *. 1000.0))
-            "trace root duration does not match reported latency";
-          check
-            (match Sjson.member "children" trace with
-            | Some (Sjson.Arr (_ :: _)) -> true
-            | _ -> false)
-            "uncached traced analyze has no child spans"
-      | _ -> check false "trace:true response lacks trace/ms fields");
-      (* OpenMetrics scrape over the wire *)
-      let mt = Serve.Client.rpc c [ ("op", "\"metrics_text\"") ] in
-      (match Sjson.member "text" mt with
-      | Some (Sjson.Str text) ->
-          let has needle label =
-            check (contains text needle) ("metrics_text lacks " ^ label)
-          in
-          has "# EOF\n" "the EOF terminator";
-          has "# TYPE serve_requests counter" "the serve_requests family";
-          has "serve_requests_total{op=\"analyze\"}" "the analyze counter";
-          has "# TYPE serve_request_ms histogram" "the latency histogram";
-          has "serve_request_ms_bucket{le=\"+Inf\"}" "the +Inf bucket";
-          has "serve_request_ms_sum" "the histogram sum";
-          has "serve_request_ms_count" "the histogram count";
-          has "foray_window_rps{window=\"10s\"}" "the 10s window gauge";
-          has "serve_pool_busy" "the pool gauge";
-          has "runtime_gc_major_words" "the GC gauge"
-      | _ -> check false "metrics_text response has no text field");
-      (* sliding-window stats over the wire *)
-      let m = Serve.Client.rpc c [ ("op", "\"metrics\"") ] in
-      check (window_stat m "10s" "requests" > 0.0) "10s window saw no requests";
-      check (window_stat m "10s" "rps" > 0.0) "10s window rps is zero";
-      check
-        (window_stat m "10s" "hit_rate" > 0.0)
-        "10s window hit rate is zero despite warm repeats";
-      check
-        (match Sjson.member "slow" m with
-        | Some (Sjson.Arr (_ :: _)) -> true
-        | _ -> false)
-        "slow list is empty at slow-ms 0");
-  (* the dashboard's scripting mode against the live daemon *)
-  (match run_top ~socket:path ~interval:1.0 ~once:true ~json:true with
-  | 0 -> ()
-  | _ -> check false "top --once --json failed"
-  | exception e ->
-      check false ("top --once --json raised: " ^ Printexc.to_string e));
-  Serve.Client.shutdown path;
-  Serve.wait srv;
-  (* the access log must be valid JSONL, with the slow breakdown inline *)
-  let lines =
-    In_channel.with_open_text log_path (fun ic -> In_channel.input_lines ic)
-  in
-  check (List.length lines >= 8) "access log is missing lines";
-  List.iter
-    (fun l ->
-      match Sjson.parse l with
-      | Ok j ->
-          check (Sjson.member "rid" j <> None) "access-log line lacks rid";
-          check (Sjson.member "ms" j <> None) "access-log line lacks ms"
-      | Error msg -> check false ("access-log line does not parse: " ^ msg))
-    lines;
-  check
-    (List.exists (fun l -> contains l "\"slow\": true") lines)
-    "no slow request marked in the access log";
-  check
-    (List.exists (fun l -> contains l "\"spans\": ") lines)
-    "no span breakdown in the access log";
-  check
-    (List.exists (fun l -> contains l "\"cached\": true") lines)
-    "no cache hit visible in the access log";
-  (try Sys.remove log_path with Sys_error _ -> ());
-  if !failures = 0 then begin
-    Printf.printf
-      "telemetry-smoke: OK (openmetrics scrape, inline trace, window \
-       stats, access log, top)\n";
-    0
-  end
-  else 1
-
 let jobs_serve_arg =
   let doc = "Worker domains of the analysis pool (0 = one per core)." in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
@@ -1676,23 +1408,17 @@ let cache_mb_arg =
   Arg.(value & opt int 64 & info [ "cache-mb" ] ~docv:"MB" ~doc)
 
 let serve_cmd =
-  let run socket jobs cache_mb max_steps access_log slow_ms smoke tsmoke
-      vsmoke json =
+  let run socket jobs cache_mb max_steps access_log slow_ms json =
     guard ~json (fun () ->
-        if tsmoke then run_telemetry_smoke ~jobs ~cache_mb
-        else if vsmoke then run_verify_smoke ~jobs ~cache_mb
-        else if smoke then run_serve_smoke ~jobs ~cache_mb
-        else begin
-          let socket = Option.value socket ~default:(default_socket ()) in
-          let srv =
-            Serve.start
-              (serve_config ?access_log ?slow_ms ~socket ~jobs ~cache_mb
-                 ~max_steps_cap:max_steps ())
-          in
-          Printf.eprintf "forayd: listening on %s\n%!" socket;
-          Serve.wait srv;
-          0
-        end)
+        let socket = Option.value socket ~default:(default_socket ()) in
+        let srv =
+          Serve.start
+            (serve_config ?access_log ?slow_ms ~socket ~jobs ~cache_mb
+               ~max_steps_cap:max_steps ())
+        in
+        Printf.eprintf "forayd: listening on %s\n%!" socket;
+        Serve.wait srv;
+        0)
   in
   let socket_arg =
     let doc =
@@ -1721,42 +1447,15 @@ let serve_cmd =
     in
     Arg.(value & opt (some int) None & info [ "slow-ms" ] ~docv:"MS" ~doc)
   in
-  let smoke_arg =
-    let doc =
-      "Self-test: daemon on a temp socket, cold analyze, warm analyze \
-       (must hit the cache, byte-identical model), metrics check, clean \
-       shutdown. Exit 0 iff all checks pass."
-    in
-    Arg.(value & flag & info [ "smoke" ] ~doc)
-  in
-  let tsmoke_arg =
-    let doc =
-      "Telemetry self-test: daemon with access log and slow-ms 0 on a \
-       temp socket, brief soak, OpenMetrics scrape, inline trace tree, \
-       window stats, top --once --json, access-log validation. Exit 0 \
-       iff all checks pass."
-    in
-    Arg.(value & flag & info [ "telemetry-smoke" ] ~doc)
-  in
-  let vsmoke_arg =
-    let doc =
-      "Verification self-test: verify fig4a locally, then over the wire \
-       against a fresh daemon on a temp socket — the reports must match, \
-       the warm repeat must hit the cache, the shutdown must be clean. \
-       Exit 0 iff all checks pass."
-    in
-    Arg.(value & flag & info [ "verify-smoke" ] ~doc)
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run forayd: a daemon answering analyze/extract/metrics requests \
-          over a Unix-domain socket (newline-delimited JSON), with an LRU \
-          model cache and the documented E_* error taxonomy on the wire.")
+         "Run forayd: a daemon answering analyze/extract/spm/verify/metrics \
+          requests over a Unix-domain socket (newline-delimited JSON), with \
+          an LRU model cache and the documented E_* error taxonomy on the wire.")
     Term.(
       const run $ socket_arg $ jobs_serve_arg $ cache_mb_arg $ cap_arg
-      $ access_log_arg $ slow_ms_arg $ smoke_arg $ tsmoke_arg $ vsmoke_arg
-      $ json_errors_arg)
+      $ access_log_arg $ slow_ms_arg $ json_errors_arg)
 
 let serve_bench_cmd =
   let run socket clients requests programs cold jobs cache_mb json =

@@ -59,12 +59,18 @@ let parse s =
   in
   let hex4 () =
     if !pos + 4 > n then fail !pos "truncated \\u escape";
-    let v = int_of_string_opt ("0x" ^ String.sub s !pos 4) in
-    match v with
-    | Some v ->
-        pos := !pos + 4;
-        v
-    | None -> fail !pos "bad \\u escape"
+    let digit i =
+      match s.[!pos + i] with
+      | '0' .. '9' as c -> Char.code c - 48
+      | 'a' .. 'f' as c -> Char.code c - 87
+      | 'A' .. 'F' as c -> Char.code c - 55
+      | _ -> fail !pos "bad \\u escape"
+    in
+    let v =
+      (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3
+    in
+    pos := !pos + 4;
+    v
   in
   let parse_string () =
     expect '"';

@@ -7,6 +7,9 @@ module Span = Foray_obs.Span
 module Window = Foray_obs.Window
 module Parallel = Foray_util.Parallel
 module Interp = Minic_sim.Interp
+module Dse = Foray_spm.Dse
+module Stochastic = Foray_spm.Stochastic
+module Verify = Foray_verify.Verify
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                            *)
@@ -59,32 +62,22 @@ let default_config ~socket_path =
     slow_ms = None;
   }
 
-(* The cached product of one analysis: everything both [analyze] and
-   [extract] responses need, so the two ops share cache entries and a
-   cached response is byte-identical to the uncached one. *)
-type payload = {
-  mp_model : string;
-  mp_n_refs : int;
-  mp_n_loops : int;
-  mp_steps : int;
-  mp_accesses : int;
-  mp_events : int;
-}
+(* The cached product of one compute op: its principal text (the model's
+   C text, the rendered spm results array or the rendered verify report)
+   plus the run statistics analyze reports, in response order. Each op's
+   [render] picks what its response shows, so [analyze] and [extract]
+   share entries and a cached response is byte-identical to the uncached
+   one. *)
+type value = { v_text : string; v_stats : (string * int) list }
 
-(* One slot of the daemon cache. Model payloads, pre-rendered [spm]
-   result arrays, pre-rendered [verify] reports and raw sources (so
-   [spm]/[verify] requests can address a model by the digest an earlier
-   analyze reported) share the one byte-bounded LRU; key prefixes keep
-   the namespaces disjoint. *)
-type entry =
-  | Model of payload
-  | Spm of string (* rendered "results" JSON array *)
-  | Verify of string (* rendered verification report object *)
-  | Source of string
+(* One slot of the daemon cache. Op results and raw sources (so requests
+   can address a program by the digest an earlier request reported) share
+   the one byte-bounded LRU; key prefixes keep the namespaces disjoint. *)
+type entry = Value of value | Source of string
 
 let entry_bytes key = function
-  | Model p -> String.length p.mp_model + String.length key + 128
-  | Spm s | Verify s | Source s -> String.length s + String.length key + 128
+  | Value { v_text = s; _ } | Source s ->
+      String.length s + String.length key + 128
 
 (* Remembered for [top] and the [metrics] op: the last few requests that
    crossed the slow threshold. *)
@@ -130,43 +123,67 @@ let temp_socket_path () =
 (* ------------------------------------------------------------------ *)
 (* Line-oriented socket IO                                            *)
 
+let max_line_bytes = 16 * 1024 * 1024
+
+exception Line_too_long
+
 (* A hand-rolled buffered reader over [Unix.read]. Channels
    ([in_channel]/[out_channel] pairs over one fd) are avoided on purpose:
    closing either channel closes the shared fd, and with connection
    threads racing a shutdown drain that invites double-close/fd-reuse
-   bugs. *)
+   bugs. Bytes read past a newline wait in [r_chunk] between [r_pos] and
+   [r_len]; a line under assembly grows in [r_line], so reading is linear
+   in the line length. *)
 type reader = {
   r_fd : Unix.file_descr;
   r_chunk : bytes;
-  mutable r_pending : string;
+  mutable r_pos : int;
+  mutable r_len : int;
+  r_line : Buffer.t;
+  r_max : int; (* longest line accepted; longer raises [Line_too_long] *)
   mutable r_eof : bool;
 }
 
-let make_reader fd =
-  { r_fd = fd; r_chunk = Bytes.create 8192; r_pending = ""; r_eof = false }
+let make_reader ?(max = max_int) fd =
+  {
+    r_fd = fd;
+    r_chunk = Bytes.create 65536;
+    r_pos = 0;
+    r_len = 0;
+    r_line = Buffer.create 256;
+    r_max = max;
+    r_eof = false;
+  }
 
-let rec read_line r =
-  match String.index_opt r.r_pending '\n' with
-  | Some i ->
-      let line = String.sub r.r_pending 0 i in
-      r.r_pending <-
-        String.sub r.r_pending (i + 1) (String.length r.r_pending - i - 1);
-      Some line
-  | None ->
-      if r.r_eof then
-        if r.r_pending = "" then None
-        else begin
-          (* final line without a trailing newline *)
-          let line = r.r_pending in
-          r.r_pending <- "";
-          Some line
-        end
-      else begin
+let read_line r =
+  Buffer.clear r.r_line;
+  let rec newline i =
+    if i >= r.r_len then None
+    else if Bytes.unsafe_get r.r_chunk i = '\n' then Some i
+    else newline (i + 1)
+  in
+  let rec go () =
+    let stop = newline r.r_pos in
+    let upto = match stop with Some i -> i | None -> r.r_len in
+    Buffer.add_subbytes r.r_line r.r_chunk r.r_pos (upto - r.r_pos);
+    if Buffer.length r.r_line > r.r_max then raise Line_too_long;
+    match stop with
+    | Some i ->
+        r.r_pos <- i + 1;
+        Some (Buffer.contents r.r_line)
+    | None when r.r_eof ->
+        r.r_pos <- r.r_len;
+        (* final line without a trailing newline *)
+        if Buffer.length r.r_line = 0 then None
+        else Some (Buffer.contents r.r_line)
+    | None ->
         let n = Unix.read r.r_fd r.r_chunk 0 (Bytes.length r.r_chunk) in
-        if n = 0 then r.r_eof <- true
-        else r.r_pending <- r.r_pending ^ Bytes.sub_string r.r_chunk 0 n;
-        read_line r
-      end
+        r.r_pos <- 0;
+        r.r_len <- n;
+        if n = 0 then r.r_eof <- true;
+        go ()
+  in
+  go ()
 
 let write_line fd line =
   let data = Bytes.of_string (line ^ "\n") in
@@ -177,7 +194,7 @@ let write_line fd line =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Request handling                                                   *)
+(* Request telemetry and the model cache                              *)
 
 let render_id j =
   match Json.member "id" j with
@@ -220,52 +237,15 @@ let render_error ~id ~rid ~dt_ms e =
      \"ms\": %.3f}"
     id rid (Ferr.to_json e) dt_ms
 
-let render_ok ~id ~rid ~op ~cached ~degraded ~dt_ms ~trace p =
-  let buf = Buffer.create (String.length p.mp_model + 256) in
-  Printf.bprintf buf
-    "{\"id\": %s, \"rid\": %d, \"status\": \"ok\", \"op\": \"%s\", \
-     \"cached\": %b, \"model\": \"%s\""
-    id rid op cached
-    (Ferr.json_escape p.mp_model);
-  if op <> "extract" then
-    Printf.bprintf buf
-      ", \"n_refs\": %d, \"n_loops\": %d, \"steps\": %d, \"accesses\": %d, \
-       \"events\": %d"
-      p.mp_n_refs p.mp_n_loops p.mp_steps p.mp_accesses p.mp_events;
-  Printf.bprintf buf ", \"degraded\": [%s]"
-    (String.concat ", " (List.map Pipeline.degradation_to_json degraded));
-  (match trace with
-  | None -> ()
-  | Some node ->
-      Printf.bprintf buf ", \"trace\": %s" (Span.node_to_json node));
-  Printf.bprintf buf ", \"ms\": %.3f}" dt_ms;
-  Buffer.contents buf
-
-let cache_find srv key =
+(* [~count:false] is for bookkeeping probes (a [Source] lookup), which
+   must not skew the client-visible hit/miss counters. *)
+let cache_find ?(count = true) srv key =
   Mutex.lock srv.s_cache_mutex;
   let hit = Lru.find srv.s_cache key in
   Mutex.unlock srv.s_cache_mutex;
-  (match hit with
-  | Some _ -> Obs.incr (Lazy.force m_cache_hits)
-  | None -> Obs.incr (Lazy.force m_cache_misses));
+  if count then
+    Obs.incr (Lazy.force (if hit = None then m_cache_misses else m_cache_hits));
   hit
-
-let cache_find_model srv key =
-  match cache_find srv key with Some (Model p) -> Some p | _ -> None
-
-let cache_find_spm srv key =
-  match cache_find srv key with Some (Spm s) -> Some s | _ -> None
-
-let cache_find_verify srv key =
-  match cache_find srv key with Some (Verify s) -> Some s | _ -> None
-
-(* a [Source] probe is bookkeeping, not client-visible caching — don't
-   skew the hit/miss counters with it *)
-let cache_find_source srv key =
-  Mutex.lock srv.s_cache_mutex;
-  let hit = Lru.find srv.s_cache key in
-  Mutex.unlock srv.s_cache_mutex;
-  match hit with Some (Source s) -> Some s | _ -> None
 
 let cache_add srv key e =
   let bytes = entry_bytes key e in
@@ -277,8 +257,12 @@ let cache_add srv key e =
   Obs.set (Lazy.force m_cache_entries) entries;
   Obs.set (Lazy.force m_cache_bytes) total
 
+(* ------------------------------------------------------------------ *)
+(* Requests                                                           *)
+
+(* The fields every compute op shares: addressing, budgets, thresholds
+   and the cache/strict/trace switches. *)
 type request = {
-  rq_op : string;
   rq_program : string option;
   rq_source : string option;
   rq_trace : string option;
@@ -291,13 +275,12 @@ type request = {
   rq_jobs : int option;
 }
 
-let parse_request srv j op =
+let field f k j = Result.map_error (fun msg -> Ferr.Bad_request { msg }) (f k j)
+
+let parse_request srv j =
   let ( let* ) = Result.bind in
-  let field f k =
-    Result.map_error (fun msg -> Ferr.Bad_request { msg }) (f k j)
-  in
-  let* program = field Json.str_field "program" in
-  let* source = field Json.str_field "source" in
+  let* program = field Json.str_field "program" j in
+  let* source = field Json.str_field "source" j in
   (* "trace" is overloaded by JSON type: a string is a stored-trace path
      (analyze this file), a bool asks for the request's own span tree
      inline in the response. *)
@@ -311,16 +294,16 @@ let parse_request srv j op =
           (Ferr.Bad_request
              { msg = "field \"trace\": expected a string path or a bool" })
   in
-  let* max_steps = field Json.int_field "max_steps" in
-  let* deadline_ms = field Json.int_field "deadline_ms" in
-  let* max_trace_events = field Json.int_field "max_trace_events" in
-  let* nexec = field Json.int_field "nexec" in
-  let* nloc = field Json.int_field "nloc" in
-  let* trace_scalars = field Json.bool_field "trace_scalars" in
-  let* use_cache = field Json.bool_field "cache" in
-  let* strict = field Json.bool_field "strict" in
-  let* shards = field Json.int_field "shards" in
-  let* jobs = field Json.int_field "jobs" in
+  let* max_steps = field Json.int_field "max_steps" j in
+  let* deadline_ms = field Json.int_field "deadline_ms" j in
+  let* max_trace_events = field Json.int_field "max_trace_events" j in
+  let* nexec = field Json.int_field "nexec" j in
+  let* nloc = field Json.int_field "nloc" j in
+  let* trace_scalars = field Json.bool_field "trace_scalars" j in
+  let* use_cache = field Json.bool_field "cache" j in
+  let* strict = field Json.bool_field "strict" j in
+  let* shards = field Json.int_field "shards" j in
+  let* jobs = field Json.int_field "jobs" j in
   let base = Interp.default_config in
   let max_steps =
     let requested = Option.value max_steps ~default:base.Interp.max_steps in
@@ -350,7 +333,6 @@ let parse_request srv j op =
   in
   Ok
     {
-      rq_op = op;
       rq_program = program;
       rq_source = source;
       rq_trace = trace;
@@ -363,182 +345,108 @@ let parse_request srv j op =
       rq_jobs = jobs;
     }
 
-let payload_of_outcome (r : Pipeline.result) =
+(* ------------------------------------------------------------------ *)
+(* Compute ops                                                        *)
+
+type computed = (value * Pipeline.degradation list, Ferr.t) result
+
+(* One compute op as data. The driver ([run_op]) owns everything else:
+   input addressing, the source digest, caching, pool dispatch, the
+   strict check and the response head and tail.
+   - [parse] reads the op's own fields, after the shared ones;
+   - [key] extends the input's base key (the model key of a source, or
+     trace digest x thresholds) into this op's cache key;
+   - [compute] runs on the domain pool over a program source, and
+     [compute_trace], when the op accepts a stored ["trace"] path, over
+     that file;
+   - [by_digest] says whether a remembered ["digest"] addresses a source;
+   - [render] writes the op's response fields between ["cached"] and
+     ["degraded"]. *)
+type 'p op = {
+  name : string;
+  by_digest : bool;
+  parse : Json.t -> request -> ('p, Ferr.t) result;
+  key : 'p -> string -> string;
+  compute : 'p -> request -> string -> computed;
+  compute_trace : ('p -> request -> string -> computed) option;
+  render : 'p -> Buffer.t -> digest:string -> value -> unit;
+}
+
+type any_op = Op : 'p op -> any_op
+
+let model_value model ~steps ~accesses ~events =
   {
-    mp_model = Model.to_c r.Pipeline.model;
-    mp_n_refs = Model.n_refs r.Pipeline.model;
-    mp_n_loops = Model.n_loops r.Pipeline.model;
-    mp_steps = r.Pipeline.sim.Interp.steps;
-    mp_accesses = r.Pipeline.sim.Interp.accesses;
-    mp_events = Foray_trace.Tstats.total_accesses r.Pipeline.tstats;
+    v_text = Model.to_c model;
+    v_stats =
+      [
+        ("n_refs", Model.n_refs model);
+        ("n_loops", Model.n_loops model);
+        ("steps", steps);
+        ("accesses", accesses);
+        ("events", events);
+      ];
   }
 
-(* Run [f] on the domain pool inside a rid-tagged span, capturing the
-   worker's tid and time window. A pool worker executes one task at a
-   time, so every completed span on that tid within [t0, t1] belongs to
-   this request — which is what lets [Span.collect] cut the request's
-   tree out of the process-global ring without per-request plumbing. *)
-let pool_run srv ~rid ~op f =
-  Parallel.await
-    (Parallel.async srv.s_pool (fun () ->
-         let tid = Span.current_tid () in
-         let t0 = Span.now_us () in
-         let v =
-           Span.with_span ~cat:"serve"
-             ~args:[ ("rid", string_of_int rid); ("op", op) ]
-             "serve.request" f
-         in
-         let t1 = Span.now_us () in
-         (v, { sw_tid = tid; sw_t0 = t0; sw_t1 = t1 })))
+let analyze_source rq src =
+  Result.map
+    (fun { Pipeline.result = r; degraded } ->
+      ( model_value r.Pipeline.model ~steps:r.Pipeline.sim.Interp.steps
+          ~accesses:r.Pipeline.sim.Interp.accesses
+          ~events:(Foray_trace.Tstats.total_accesses r.Pipeline.tstats),
+        degraded ))
+    (Pipeline.run_source ~config:rq.rq_config ~thresholds:rq.rq_thresholds src)
 
-(* Analyze a program source: cache lookup, then the full pipeline on the
-   domain pool. Only complete (non-degraded) outcomes enter the cache, so
-   a hit can always claim [degraded: []]. *)
-let analyze_source srv rq ~rid src =
-  let digest = Digest.to_hex (Digest.string src) in
-  (* remember the source under its digest so later [spm] requests can
-     address this model without resending the program text *)
-  if rq.rq_cache then cache_add srv ("src:" ^ digest) (Source src);
-  let key = Pipeline.model_key ~config:rq.rq_config ~thresholds:rq.rq_thresholds src in
-  match if rq.rq_cache then cache_find_model srv key else None with
-  | Some p -> Ok (p, true, [], digest, None)
-  | None -> (
-      let outcome, sw =
-        pool_run srv ~rid ~op:rq.rq_op (fun () ->
-            Pipeline.run_source ~config:rq.rq_config
-              ~thresholds:rq.rq_thresholds src)
-      in
-      match outcome with
-      | Error e -> Error e
-      | Ok { Pipeline.degraded = d :: _; _ } when rq.rq_strict ->
-          Error (Pipeline.error_of_degradation d)
-      | Ok { Pipeline.result = r; degraded } ->
-          let p = payload_of_outcome r in
-          if rq.rq_cache && degraded = [] then cache_add srv key (Model p);
-          Ok (p, false, degraded, digest, Some sw))
+(* Steps 3-4 over a stored trace (optionally sharded), then [k] on the
+   model; a salvaged read degrades the result. *)
+let with_stored_model rq path k =
+  match
+    Pipeline.analyze_trace ~strict:rq.rq_strict ~shards:rq.rq_shards
+      ?jobs:rq.rq_jobs path
+  with
+  | Error c -> Error (Pipeline.error_of_corruption c)
+  | Ok ((tree, tstats), salvage) ->
+      let model = Model.of_tree ~thresholds:rq.rq_thresholds tree in
+      Ok (k model tstats salvage, Pipeline.salvage_degradations salvage)
 
-(* Analyze a stored trace file (Steps 3-4 only): keyed by content digest
-   plus the Step-4 thresholds — the only knobs that change the model of a
-   stored trace (shard count is bit-identical by construction). *)
-let analyze_trace srv rq ~rid path =
-  if not (Sys.file_exists path) then
-    Error (Ferr.Not_found_program { name = path })
-  else
-    match Digest.file path with
-    | exception Sys_error _ -> Error (Ferr.Not_found_program { name = path })
-    | digest -> (
-        let digest_hex = Digest.to_hex digest in
-        let key =
-          Printf.sprintf "trace:%s:%d:%d" digest_hex
-            rq.rq_thresholds.Filter.nexec rq.rq_thresholds.Filter.nloc
-        in
-        match if rq.rq_cache then cache_find_model srv key else None with
-        | Some p -> Ok (p, true, [], digest_hex, None)
-        | None -> (
-            let res, sw =
-              pool_run srv ~rid ~op:rq.rq_op (fun () ->
-                  Pipeline.analyze_trace ~strict:rq.rq_strict
-                    ~shards:rq.rq_shards ?jobs:rq.rq_jobs path)
-            in
-            match res with
-            | Error c -> Error (Pipeline.error_of_corruption c)
-            | Ok ((tree, tstats), salvage) ->
-                let model =
-                  Model.of_tree ~thresholds:rq.rq_thresholds tree
-                in
-                let degraded = Pipeline.salvage_degradations salvage in
-                let p =
-                  {
-                    mp_model = Model.to_c model;
-                    mp_n_refs = Model.n_refs model;
-                    mp_n_loops = Model.n_loops model;
-                    mp_steps = 0;
-                    mp_accesses =
-                      Foray_trace.Tstats.total_accesses tstats;
-                    mp_events = salvage.events;
-                  }
-                in
-                if rq.rq_cache && degraded = [] then
-                  cache_add srv key (Model p);
-                Ok (p, false, degraded, digest_hex, Some sw)))
+let analyze_stored rq path =
+  with_stored_model rq path (fun model tstats salvage ->
+      model_value model ~steps:0
+        ~accesses:(Foray_trace.Tstats.total_accesses tstats)
+        ~events:salvage.Foray_trace.Tracefile.events)
 
-let handle_analyze srv j ~rid ~op =
+let analyze_op ~name ~stats =
+  {
+    name;
+    by_digest = false;
+    parse = (fun _ _ -> Ok ());
+    key = (fun () base -> base);
+    compute = (fun () -> analyze_source);
+    compute_trace = Some (fun () -> analyze_stored);
+    render =
+      (fun () b ~digest:_ v ->
+        Printf.bprintf b ", \"model\": \"%s\"" (Ferr.json_escape v.v_text);
+        if stats then
+          List.iter
+            (fun (k, n) -> Printf.bprintf b ", \"%s\": %d" k n)
+            v.v_stats);
+  }
+
+(* The spm op: Phase II buffer selection over the extracted model. *)
+type spm_params = {
+  sp_strategy_s : string;
+  sp_strategy : Dse.strategy;
+  sp_sizes : int list;
+  sp_cfg : Stochastic.config;
+}
+
+let parse_spm j rq =
   let ( let* ) = Result.bind in
-  let* rq = parse_request srv j op in
-  let* p, cached, degraded, digest, sw =
-    match rq.rq_trace with
-    | Some path -> analyze_trace srv rq ~rid path
-    | None -> (
-        let* src =
-          match (rq.rq_source, rq.rq_program) with
-          | Some s, _ -> Ok s
-          | None, Some name -> Foray_suite.Suite.load name
-          | None, None ->
-              Error
-                (Ferr.Bad_request
-                   {
-                     msg =
-                       Printf.sprintf
-                         "%s needs \"program\", \"source\" or \"trace\"" op;
-                   })
-        in
-        analyze_source srv rq ~rid src)
-  in
-  Ok (rq, p, cached, degraded, digest, sw)
-
-(* ------------------------------------------------------------------ *)
-(* The spm op: Phase II buffer selection served from the model cache  *)
-
-let spm_results_json sols =
-  let sol_json (size, (sol : Foray_spm.Dse.solution)) =
-    let sel = sol.Foray_spm.Dse.selection in
-    let buf = Buffer.create 160 in
-    Printf.bprintf buf
-      "{\"spm_bytes\": %d, \"buffers\": %d, \"used_bytes\": %d, \
-       \"energy_base_nj\": %.3f, \"energy_opt_nj\": %.3f, \"saving_pct\": \
-       %.3f"
-      size (List.length sel.chosen) sel.used_bytes sel.energy_base
-      sel.energy_opt sel.saving_pct;
-    (match sol.Foray_spm.Dse.search with
-    | None -> ()
-    | Some st ->
-        Printf.bprintf buf
-          ", \"search\": {\"proposals\": %d, \"accepted\": %d, \
-           \"improved\": %d, \"restarts\": %d, \"stopped\": \"%s\"}"
-          st.Foray_spm.Stochastic.proposals st.accepted st.improved
-          st.restarts
-          (Foray_spm.Stochastic.stop_name st.stopped));
-    Buffer.add_char buf '}';
-    Buffer.contents buf
-  in
-  "[" ^ String.concat ", " (List.map sol_json sols) ^ "]"
-
-(* The part of the cache key that captures the spm configuration: equal
-   keys must imply equal (deterministic) results, so everything that
-   steers the search is in — including the deadline, which is the one
-   machine-dependent knob. *)
-let spm_config_key ~sizes ~strategy_s cfg =
-  Printf.sprintf "%s:%s:%d:%d:%d:%s"
-    (String.concat "," (List.map string_of_int sizes))
-    strategy_s cfg.Foray_spm.Stochastic.seed cfg.Foray_spm.Stochastic.budget
-    cfg.Foray_spm.Stochastic.restarts
-    (match cfg.Foray_spm.Stochastic.deadline_ms with
-    | Some ms -> string_of_int ms
-    | None -> "-")
-
-let handle_spm srv j ~rid =
-  let ( let* ) = Result.bind in
-  let* rq = parse_request srv j "spm" in
-  let field f k =
-    Result.map_error (fun msg -> Ferr.Bad_request { msg }) (f k j)
-  in
-  let* strategy_s = field Json.str_field "strategy" in
+  let* strategy_s = field Json.str_field "strategy" j in
   let strategy_s = Option.value strategy_s ~default:"optimal" in
-  let* seed = field Json.int_field "seed" in
-  let* budget = field Json.int_field "budget_proposals" in
-  let* restarts = field Json.int_field "restarts" in
-  let* spm_bytes = field Json.int_field "spm_bytes" in
-  let* digest_rq = field Json.str_field "digest" in
+  let* seed = field Json.int_field "seed" j in
+  let* budget = field Json.int_field "budget_proposals" j in
+  let* restarts = field Json.int_field "restarts" j in
+  let* spm_bytes = field Json.int_field "spm_bytes" j in
   let* sizes_rq =
     match Json.member "sizes" j with
     | None | Some Json.Null -> Ok None
@@ -564,18 +472,15 @@ let handle_spm srv j ~rid =
     | None, Some [] ->
         Error (Ferr.Bad_request { msg = "field \"sizes\": must be non-empty" })
     | None, Some l -> Ok l
-    | None, None -> Ok Foray_spm.Dse.default_sizes
+    | None, None -> Ok Dse.default_sizes
   in
+  let d = Stochastic.default_config in
   let cfg =
     {
-      Foray_spm.Stochastic.default_config with
-      seed = Option.value seed ~default:Foray_spm.Stochastic.default_config.seed;
-      budget =
-        Option.value budget
-          ~default:Foray_spm.Stochastic.default_config.budget;
-      restarts =
-        Option.value restarts
-          ~default:Foray_spm.Stochastic.default_config.restarts;
+      d with
+      seed = Option.value seed ~default:d.seed;
+      budget = Option.value budget ~default:d.budget;
+      restarts = Option.value restarts ~default:d.restarts;
       (* the request's deadline_ms budget doubles as the search's anytime
          cutoff; the ensemble stays serial — the pool's domains belong to
          concurrent requests *)
@@ -585,9 +490,9 @@ let handle_spm srv j ~rid =
   in
   let* strategy =
     match strategy_s with
-    | "optimal" -> Ok Foray_spm.Dse.Optimal
-    | "greedy" -> Ok Foray_spm.Dse.Greedy
-    | "stochastic" -> Ok (Foray_spm.Dse.Stochastic cfg)
+    | "optimal" -> Ok Dse.Optimal
+    | "greedy" -> Ok Dse.Greedy
+    | "stochastic" -> Ok (Dse.Stochastic cfg)
     | s ->
         Error
           (Ferr.Bad_request
@@ -599,204 +504,272 @@ let handle_spm srv j ~rid =
                    s;
              })
   in
-  let* src =
-    match (rq.rq_source, rq.rq_program, digest_rq) with
-    | Some s, _, _ -> Ok s
-    | None, Some name, _ -> Foray_suite.Suite.load name
-    | None, None, Some d -> (
-        match cache_find_source srv ("src:" ^ d) with
-        | Some s -> Ok s
-        | None -> Error (Ferr.Not_found_program { name = "digest:" ^ d }))
-    | None, None, None ->
-        Error
-          (Ferr.Bad_request
-             { msg = "spm needs \"program\", \"source\" or \"digest\"" })
-  in
-  let digest = Digest.to_hex (Digest.string src) in
-  if rq.rq_cache then cache_add srv ("src:" ^ digest) (Source src);
-  let model_key =
-    Pipeline.model_key ~config:rq.rq_config ~thresholds:rq.rq_thresholds src
-  in
-  let key =
-    Printf.sprintf "spm:%s:%s" model_key
-      (spm_config_key ~sizes ~strategy_s cfg)
-  in
-  match if rq.rq_cache then cache_find_spm srv key else None with
-  | Some body -> Ok (rq, strategy_s, body, true, [], digest, None)
-  | None -> (
-      let outcome, sw =
-        pool_run srv ~rid ~op:"spm" (fun () ->
-            match
-              Pipeline.run_source ~config:rq.rq_config
-                ~thresholds:rq.rq_thresholds src
-            with
-            | Error e -> Error e
-            | Ok o ->
-                let cands =
-                  Foray_spm.Reuse.candidates o.Pipeline.result.Pipeline.model
-                in
-                let sols =
-                  List.map
-                    (fun s ->
-                      (s, Foray_spm.Dse.solve ~strategy cands ~spm_bytes:s))
-                    sizes
-                in
-                Ok (spm_results_json sols, o.Pipeline.degraded))
-      in
-      match outcome with
-      | Error e -> Error e
-      | Ok (_, d :: _) when rq.rq_strict ->
-          Error (Pipeline.error_of_degradation d)
-      | Ok (body, degraded) ->
-          if rq.rq_cache && degraded = [] then cache_add srv key (Spm body);
-          Ok (rq, strategy_s, body, false, degraded, digest, Some sw))
+  Ok
+    { sp_strategy_s = strategy_s; sp_strategy = strategy; sp_sizes = sizes;
+      sp_cfg = cfg }
 
-let render_spm ~id ~rid ~strategy_s ~cached ~degraded ~digest ~dt_ms ~trace
-    body =
-  let buf = Buffer.create (String.length body + 256) in
-  Printf.bprintf buf
-    "{\"id\": %s, \"rid\": %d, \"status\": \"ok\", \"op\": \"spm\", \
-     \"cached\": %b, \"digest\": \"%s\", \"strategy\": \"%s\", \"results\": \
-     %s"
-    id rid cached (Ferr.json_escape digest)
-    (Ferr.json_escape strategy_s)
-    body;
-  Printf.bprintf buf ", \"degraded\": [%s]"
-    (String.concat ", " (List.map Pipeline.degradation_to_json degraded));
-  (match trace with
-  | None -> ()
-  | Some node -> Printf.bprintf buf ", \"trace\": %s" (Span.node_to_json node));
-  Printf.bprintf buf ", \"ms\": %.3f}" dt_ms;
-  Buffer.contents buf
+(* Equal keys must imply equal (deterministic) results, so everything
+   that steers the search is in — including the deadline, which is the
+   one machine-dependent knob. *)
+let spm_key p base =
+  let cfg = p.sp_cfg in
+  Printf.sprintf "spm:%s:%s:%s:%d:%d:%d:%s" base
+    (String.concat "," (List.map string_of_int p.sp_sizes))
+    p.sp_strategy_s cfg.Stochastic.seed cfg.budget cfg.restarts
+    (match cfg.deadline_ms with Some ms -> string_of_int ms | None -> "-")
+
+let spm_results_json sols =
+  let sol_json (size, (sol : Dse.solution)) =
+    let sel = sol.Dse.selection in
+    let buf = Buffer.create 160 in
+    Printf.bprintf buf
+      "{\"spm_bytes\": %d, \"buffers\": %d, \"used_bytes\": %d, \
+       \"energy_base_nj\": %.3f, \"energy_opt_nj\": %.3f, \"saving_pct\": \
+       %.3f"
+      size (List.length sel.chosen) sel.used_bytes sel.energy_base
+      sel.energy_opt sel.saving_pct;
+    (match sol.Dse.search with
+    | None -> ()
+    | Some st ->
+        Printf.bprintf buf
+          ", \"search\": {\"proposals\": %d, \"accepted\": %d, \
+           \"improved\": %d, \"restarts\": %d, \"stopped\": \"%s\"}"
+          st.Stochastic.proposals st.accepted st.improved st.restarts
+          (Stochastic.stop_name st.stopped));
+    Buffer.add_char buf '}';
+    Buffer.contents buf
+  in
+  "[" ^ String.concat ", " (List.map sol_json sols) ^ "]"
+
+let spm_source p rq src =
+  Result.map
+    (fun o ->
+      let cands = Foray_spm.Reuse.candidates o.Pipeline.result.Pipeline.model in
+      let sols =
+        List.map
+          (fun s -> (s, Dse.solve ~strategy:p.sp_strategy cands ~spm_bytes:s))
+          p.sp_sizes
+      in
+      ({ v_text = spm_results_json sols; v_stats = [] }, o.Pipeline.degraded))
+    (Pipeline.run_source ~config:rq.rq_config ~thresholds:rq.rq_thresholds src)
+
+(* The verify op: per-reference model-replay verdicts. *)
+let verify_source rq src =
+  let prog = Minic.Parser.program src in
+  Result.map
+    (fun (o, events) ->
+      let rep = Verify.verify o.Pipeline.result.Pipeline.model events in
+      ( { v_text = Verify.report_to_json rep; v_stats = [] },
+        o.Pipeline.degraded ))
+    (Pipeline.run_offline ~config:rq.rq_config ~thresholds:rq.rq_thresholds
+       prog)
+
+(* A stored trace is verified against the model extracted from it, by
+   replaying the same salvaged stream straight off the file. *)
+let verify_stored rq path =
+  with_stored_model rq path (fun model _ _ ->
+      let vsink, finish = Verify.sink model in
+      ignore (Foray_trace.Tracefile.read path vsink);
+      { v_text = Verify.report_to_json (finish ()); v_stats = [] })
+
+let render_digest b digest =
+  Printf.bprintf b ", \"digest\": \"%s\"" (Ferr.json_escape digest)
+
+let ops =
+  [
+    Op (analyze_op ~name:"analyze" ~stats:true);
+    Op (analyze_op ~name:"extract" ~stats:false);
+    Op
+      {
+        name = "spm";
+        by_digest = true;
+        parse = parse_spm;
+        key = spm_key;
+        compute = spm_source;
+        compute_trace = None;
+        render =
+          (fun p b ~digest v ->
+            render_digest b digest;
+            Printf.bprintf b ", \"strategy\": \"%s\", \"results\": %s"
+              (Ferr.json_escape p.sp_strategy_s)
+              v.v_text);
+      };
+    Op
+      {
+        name = "verify";
+        by_digest = true;
+        parse = (fun _ _ -> Ok ());
+        key = (fun () base -> "verify:" ^ base);
+        compute = (fun () -> verify_source);
+        compute_trace = Some (fun () -> verify_stored);
+        render =
+          (fun () b ~digest v ->
+            render_digest b digest;
+            Printf.bprintf b ", \"verify\": %s" v.v_text);
+      };
+  ]
 
 (* ------------------------------------------------------------------ *)
-(* The verify op: per-reference model-replay verdicts                 *)
+(* The compute-op driver                                              *)
 
-(* Verify a stored trace file: extract the model from it (Steps 3-4,
-   optionally sharded), then replay the same event stream against the
-   model. Cached by content digest x Step-4 thresholds, like
-   [analyze_trace]. *)
-let verify_trace srv rq ~rid path =
-  if not (Sys.file_exists path) then
-    Error (Ferr.Not_found_program { name = path })
-  else
-    match Digest.file path with
-    | exception Sys_error _ -> Error (Ferr.Not_found_program { name = path })
-    | digest -> (
-        let digest_hex = Digest.to_hex digest in
-        let key =
-          Printf.sprintf "verify:trace:%s:%d:%d" digest_hex
-            rq.rq_thresholds.Filter.nexec rq.rq_thresholds.Filter.nloc
-        in
-        match if rq.rq_cache then cache_find_verify srv key else None with
-        | Some body -> Ok (body, true, [], digest_hex, None)
-        | None -> (
-            let res, sw =
-              pool_run srv ~rid ~op:"verify" (fun () ->
-                  match
-                    Pipeline.analyze_trace ~strict:rq.rq_strict
-                      ~shards:rq.rq_shards ?jobs:rq.rq_jobs path
-                  with
-                  | Error c -> Error (Pipeline.error_of_corruption c)
-                  | Ok ((tree, _), salvage) ->
-                      let model =
-                        Model.of_tree ~thresholds:rq.rq_thresholds tree
-                      in
-                      (* replay the same salvaged stream, straight off the
-                         file *)
-                      let vsink, finish = Foray_verify.Verify.sink model in
-                      ignore (Foray_trace.Tracefile.read path vsink);
-                      Ok
-                        ( Foray_verify.Verify.report_to_json (finish ()),
-                          Pipeline.salvage_degradations salvage ))
-            in
-            match res with
-            | Error e -> Error e
-            | Ok (_, d :: _) when rq.rq_strict ->
-                Error (Pipeline.error_of_degradation d)
-            | Ok (body, degraded) ->
-                if rq.rq_cache && degraded = [] then
-                  cache_add srv key (Verify body);
-                Ok (body, false, degraded, digest_hex, Some sw)))
+(* Run [f] on the domain pool inside a rid-tagged span, capturing the
+   worker's tid and time window. A pool worker executes one task at a
+   time, so every completed span on that tid within [t0, t1] belongs to
+   this request — which is what lets [Span.collect] cut the request's
+   tree out of the process-global ring without per-request plumbing. *)
+let pool_run srv ~rid ~op f =
+  Parallel.await
+    (Parallel.async srv.s_pool (fun () ->
+         let tid = Span.current_tid () in
+         let t0 = Span.now_us () in
+         let v =
+           Span.with_span ~cat:"serve"
+             ~args:[ ("rid", string_of_int rid); ("op", op) ]
+             "serve.request" f
+         in
+         let t1 = Span.now_us () in
+         (v, { sw_tid = tid; sw_t0 = t0; sw_t1 = t1 })))
 
-let handle_verify srv j ~rid =
+(* The program source a request names: inline ["source"], a suite
+   ["program"], or (for ops that allow it) a ["digest"] an earlier request
+   reported. *)
+let request_source srv o rq j =
   let ( let* ) = Result.bind in
-  let* rq = parse_request srv j "verify" in
-  match rq.rq_trace with
-  | Some path ->
-      let* body, cached, degraded, digest, sw = verify_trace srv rq ~rid path in
-      Ok (rq, body, cached, degraded, digest, sw)
-  | None ->
-      let field f k =
-        Result.map_error (fun msg -> Ferr.Bad_request { msg }) (f k j)
+  let* digest =
+    if o.by_digest then field Json.str_field "digest" j else Ok None
+  in
+  match (rq.rq_source, rq.rq_program, digest) with
+  | Some s, _, _ -> Ok s
+  | None, Some name, _ -> Foray_suite.Suite.load name
+  | None, None, Some d -> (
+      match cache_find ~count:false srv ("src:" ^ d) with
+      | Some (Source s) -> Ok s
+      | _ -> Error (Ferr.Not_found_program { name = "digest:" ^ d }))
+  | None, None, None ->
+      let names =
+        [ "\"program\""; "\"source\"" ]
+        @ (if o.by_digest then [ "\"digest\"" ] else [])
+        @ if o.compute_trace <> None then [ "\"trace\"" ] else []
       in
-      let* digest_rq = field Json.str_field "digest" in
-      let* src =
-        match (rq.rq_source, rq.rq_program, digest_rq) with
-        | Some s, _, _ -> Ok s
-        | None, Some name, _ -> Foray_suite.Suite.load name
-        | None, None, Some d -> (
-            match cache_find_source srv ("src:" ^ d) with
-            | Some s -> Ok s
-            | None -> Error (Ferr.Not_found_program { name = "digest:" ^ d }))
-        | None, None, None ->
-            Error
-              (Ferr.Bad_request
-                 {
-                   msg =
-                     "verify needs \"program\", \"source\", \"digest\" or \
-                      \"trace\"";
-                 })
+      let rec commas = function
+        | [ a; b ] -> a ^ " or " ^ b
+        | a :: rest -> a ^ ", " ^ commas rest
+        | [] -> ""
       in
-      let digest = Digest.to_hex (Digest.string src) in
-      if rq.rq_cache then cache_add srv ("src:" ^ digest) (Source src);
-      let key =
-        "verify:"
-        ^ Pipeline.model_key ~config:rq.rq_config ~thresholds:rq.rq_thresholds
-            src
-      in
-      (match if rq.rq_cache then cache_find_verify srv key else None with
-      | Some body -> Ok (rq, body, true, [], digest, None)
-      | None -> (
-          let outcome, sw =
-            pool_run srv ~rid ~op:"verify" (fun () ->
-                let prog = Minic.Parser.program src in
-                match
-                  Pipeline.run_offline ~config:rq.rq_config
-                    ~thresholds:rq.rq_thresholds prog
-                with
-                | Error e -> Error e
-                | Ok (o, events) ->
-                    let rep =
-                      Foray_verify.Verify.verify
-                        o.Pipeline.result.Pipeline.model events
-                    in
-                    Ok
-                      ( Foray_verify.Verify.report_to_json rep,
-                        o.Pipeline.degraded ))
-          in
-          match outcome with
-          | Error e -> Error e
-          | Ok (_, d :: _) when rq.rq_strict ->
-              Error (Pipeline.error_of_degradation d)
-          | Ok (body, degraded) ->
-              if rq.rq_cache && degraded = [] then
-                cache_add srv key (Verify body);
-              Ok (rq, body, false, degraded, digest, Some sw)))
+      Error
+        (Ferr.Bad_request
+           { msg = Printf.sprintf "%s needs %s" o.name (commas names) })
 
-let render_verify ~id ~rid ~cached ~degraded ~digest ~dt_ms ~trace body =
-  let buf = Buffer.create (String.length body + 256) in
-  Printf.bprintf buf
-    "{\"id\": %s, \"rid\": %d, \"status\": \"ok\", \"op\": \"verify\", \
-     \"cached\": %b, \"digest\": \"%s\", \"verify\": %s"
-    id rid cached (Ferr.json_escape digest) body;
-  Printf.bprintf buf ", \"degraded\": [%s]"
-    (String.concat ", " (List.map Pipeline.degradation_to_json degraded));
-  (match trace with
-  | None -> ()
-  | Some node -> Printf.bprintf buf ", \"trace\": %s" (Span.node_to_json node));
-  Printf.bprintf buf ", \"ms\": %.3f}" dt_ms;
-  Buffer.contents buf
+(* Resolve the request's input into its digest, its base cache key and the
+   op's body bound to it. Sources are remembered under their digest. *)
+let resolve srv o rq j p =
+  match (rq.rq_trace, o.compute_trace) with
+  | Some path, Some compute_trace -> (
+      let missing = Error (Ferr.Not_found_program { name = path }) in
+      if not (Sys.file_exists path) then missing
+      else
+        match Digest.to_hex (Digest.file path) with
+        | exception Sys_error _ -> missing
+        | digest ->
+            let t = rq.rq_thresholds in
+            Ok
+              ( digest,
+                Printf.sprintf "trace:%s:%d:%d" digest t.Filter.nexec
+                  t.Filter.nloc,
+                fun () -> compute_trace p rq path ))
+  | _ ->
+      Result.map
+        (fun src ->
+          let digest = Digest.to_hex (Digest.string src) in
+          if rq.rq_cache then cache_add srv ("src:" ^ digest) (Source src);
+          ( digest,
+            Pipeline.model_key ~config:rq.rq_config
+              ~thresholds:rq.rq_thresholds src,
+            fun () -> o.compute p rq src ))
+        (request_source srv o rq j)
+
+(* What one dispatched request hands back to the accounting wrapper: a
+   response renderer (latency-parameterized, so the reported [ms], the
+   access-log latency and an inline trace root all quote the same
+   number) plus everything the window/log need. *)
+type handled = {
+  h_render : dt_ms:float -> string;
+  h_wind_down : bool;
+  h_op : string;
+  h_kind : Window.kind;
+  h_digest : string option;
+  h_cached : bool option;
+  h_degraded : Pipeline.degradation list;
+  h_steps : int;
+  h_err : string option; (* stable E_* code *)
+  h_sw : span_window option;
+}
+
+let handled ?(wind = false) ?(kind = Window.Uncached) ?digest ?cached
+    ?(degraded = []) ?(steps = 0) ?err ?sw ~op render =
+  {
+    h_render = render;
+    h_wind_down = wind;
+    h_op = op;
+    h_kind = kind;
+    h_digest = digest;
+    h_cached = cached;
+    h_degraded = degraded;
+    h_steps = steps;
+    h_err = err;
+    h_sw = sw;
+  }
+
+let error_handled ~rid ~id ~op e =
+  Obs.incr (Lazy.force m_errors);
+  handled ~op ~kind:Window.Error ~err:(Ferr.code e) (fun ~dt_ms ->
+      render_error ~id ~rid ~dt_ms e)
+
+(* One compute request end to end: only complete (non-degraded) results
+   enter the cache, so a hit can always claim [degraded: []]. *)
+let run_op srv o j ~rid ~id =
+  let ( let* ) = Result.bind in
+  let outcome =
+    let* rq = parse_request srv j in
+    let* p = o.parse j rq in
+    let* digest, base, compute = resolve srv o rq j p in
+    let key = o.key p base in
+    match if rq.rq_cache then cache_find srv key else None with
+    | Some (Value v) -> Ok (rq, p, digest, v, true, [], None)
+    | _ -> (
+        match pool_run srv ~rid ~op:o.name compute with
+        | Error e, _ -> Error e
+        | Ok (_, d :: _), _ when rq.rq_strict ->
+            Error (Pipeline.error_of_degradation d)
+        | Ok (v, degraded), sw ->
+            if rq.rq_cache && degraded = [] then cache_add srv key (Value v);
+            Ok (rq, p, digest, v, false, degraded, Some sw))
+  in
+  match outcome with
+  | Error e -> error_handled ~rid ~id ~op:o.name e
+  | Ok (rq, p, digest, v, cached, degraded, sw) ->
+      let kind =
+        if cached then Window.Hit
+        else if rq.rq_cache then Window.Miss
+        else Window.Uncached
+      in
+      let steps = Option.value (List.assoc_opt "steps" v.v_stats) ~default:0 in
+      handled ~op:o.name ~kind ~digest ~cached ~degraded ~steps ?sw
+        (fun ~dt_ms ->
+          let b = Buffer.create (String.length v.v_text + 256) in
+          Printf.bprintf b
+            "{\"id\": %s, \"rid\": %d, \"status\": \"ok\", \"op\": \"%s\", \
+             \"cached\": %b"
+            id rid o.name cached;
+          o.render p b ~digest v;
+          Printf.bprintf b ", \"degraded\": [%s]"
+            (String.concat ", "
+               (List.map Pipeline.degradation_to_json degraded));
+          if rq.rq_want_trace then
+            Printf.bprintf b ", \"trace\": %s"
+              (Span.node_to_json (trace_tree ~rid ~op:o.name ~dt_ms sw));
+          Printf.bprintf b ", \"ms\": %.3f}" dt_ms;
+          Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
 (* Per-request accounting: runtime gauges, window, access log, slow   *)
@@ -834,31 +807,30 @@ let slow_push srv e =
 (* One JSONL access-log line per request. Absent fields are omitted, not
    nulled, so lines stay grep-friendly; [spans] (the full breakdown) only
    appears on slow requests. *)
-let log_request srv ~rid ~op ~dt_ms ~digest ~cached ~err ~degraded ~steps
-    ~slow_spans =
+let log_request srv ~rid ~dt_ms ~slow_spans h =
   match srv.s_log with
   | None -> ()
   | Some oc ->
       let buf = Buffer.create 256 in
       Printf.bprintf buf
         "{\"ts\": %.3f, \"rid\": %d, \"op\": \"%s\", \"status\": \"%s\""
-        (Unix.gettimeofday ()) rid (Ferr.json_escape op)
-        (match err with None -> "ok" | Some _ -> "error");
-      (match err with
+        (Unix.gettimeofday ()) rid (Ferr.json_escape h.h_op)
+        (match h.h_err with None -> "ok" | Some _ -> "error");
+      (match h.h_err with
       | Some code -> Printf.bprintf buf ", \"error\": \"%s\"" code
       | None -> ());
-      (match digest with
+      (match h.h_digest with
       | Some d ->
           Printf.bprintf buf ", \"digest\": \"%s\"" (Ferr.json_escape d)
       | None -> ());
-      (match cached with
+      (match h.h_cached with
       | Some b -> Printf.bprintf buf ", \"cached\": %b" b
       | None -> ());
-      if degraded <> [] then
+      if h.h_degraded <> [] then
         Printf.bprintf buf ", \"degraded\": [%s]"
           (String.concat ", "
-             (List.map Pipeline.degradation_to_json degraded));
-      if steps > 0 then Printf.bprintf buf ", \"steps\": %d" steps;
+             (List.map Pipeline.degradation_to_json h.h_degraded));
+      if h.h_steps > 0 then Printf.bprintf buf ", \"steps\": %d" h.h_steps;
       Printf.bprintf buf ", \"ms\": %.3f" dt_ms;
       (match slow_spans with
       | Some node ->
@@ -872,49 +844,19 @@ let log_request srv ~rid ~op ~dt_ms ~digest ~cached ~err ~degraded ~steps
       flush oc;
       Mutex.unlock srv.s_log_mutex
 
-(* What one dispatched request hands back to the accounting wrapper: a
-   response renderer (latency-parameterized, so the reported [ms], the
-   access-log latency and an inline trace root all quote the same
-   number) plus everything the window/log need. *)
-type handled = {
-  h_render : dt_ms:float -> string;
-  h_wind_down : bool;
-  h_op : string;
-  h_kind : Window.kind;
-  h_digest : string option;
-  h_cached : bool option;
-  h_degraded : Pipeline.degradation list;
-  h_steps : int;
-  h_err : string option; (* stable E_* code *)
-  h_sw : span_window option;
-}
-
-let dispatch srv ~rid line =
-  let mk ?(wind = false) ?(kind = Window.Uncached) ?(digest = None)
-      ?(cached = None) ?(degraded = []) ?(steps = 0) ?(err = None)
-      ?(sw = None) ~op render =
-    {
-      h_render = render;
-      h_wind_down = wind;
-      h_op = op;
-      h_kind = kind;
-      h_digest = digest;
-      h_cached = cached;
-      h_degraded = degraded;
-      h_steps = steps;
-      h_err = err;
-      h_sw = sw;
-    }
-  in
-  let error ~id ~op e =
-    Obs.incr (Lazy.force m_errors);
-    mk ~op ~kind:Window.Error ~err:(Some (Ferr.code e)) (fun ~dt_ms ->
-        render_error ~id ~rid ~dt_ms e)
-  in
-  match Json.parse line with
+let dispatch srv ~rid parsed =
+  let error ~id ~op e = error_handled ~rid ~id ~op e in
+  match parsed with
   | Error msg -> error ~id:"null" ~op:"parse" (Ferr.Bad_request { msg })
   | Ok j -> (
       let id = render_id j in
+      let simple ~op ?wind fields =
+        handled ~op ?wind (fun ~dt_ms ->
+            Printf.sprintf
+              "{\"id\": %s, \"rid\": %d, \"status\": \"ok\", \"op\": \"%s\"%s, \
+               \"ms\": %.3f}"
+              id rid op fields dt_ms)
+      in
       match Json.str_field "op" j with
       | Error msg -> error ~id ~op:"parse" (Ferr.Bad_request { msg })
       | Ok None ->
@@ -922,26 +864,16 @@ let dispatch srv ~rid line =
       | Ok (Some op) -> (
           Obs.incr (m_requests op);
           match op with
-          | "ping" ->
-              mk ~op (fun ~dt_ms ->
-                  Printf.sprintf
-                    "{\"id\": %s, \"rid\": %d, \"status\": \"ok\", \"op\": \
-                     \"ping\", \"ms\": %.3f}"
-                    id rid dt_ms)
+          | "ping" -> simple ~op ""
           | "metrics" ->
               sample_runtime_gauges srv;
-              let metrics = Obs.to_json () in
-              let window = Window.all_to_json srv.s_window in
-              let slow =
-                String.concat ", "
-                  (List.map slow_to_json (slow_snapshot srv))
-              in
-              mk ~op (fun ~dt_ms ->
-                  Printf.sprintf
-                    "{\"id\": %s, \"rid\": %d, \"status\": \"ok\", \"op\": \
-                     \"metrics\", \"metrics\": %s, \"window\": %s, \"slow\": \
-                     [%s], \"ms\": %.3f}"
-                    id rid metrics window slow dt_ms)
+              simple ~op
+                (Printf.sprintf
+                   ", \"metrics\": %s, \"window\": %s, \"slow\": [%s]"
+                   (Obs.to_json ())
+                   (Window.all_to_json srv.s_window)
+                   (String.concat ", "
+                      (List.map slow_to_json (slow_snapshot srv))))
           | "metrics_text" ->
               sample_runtime_gauges srv;
               let text =
@@ -949,118 +881,40 @@ let dispatch srv ~rid line =
                   ~extra:(Window.to_openmetrics srv.s_window)
                   ()
               in
-              mk ~op (fun ~dt_ms ->
-                  Printf.sprintf
-                    "{\"id\": %s, \"rid\": %d, \"status\": \"ok\", \"op\": \
-                     \"metrics_text\", \"text\": \"%s\", \"ms\": %.3f}"
-                    id rid (Ferr.json_escape text) dt_ms)
+              simple ~op
+                (Printf.sprintf ", \"text\": \"%s\"" (Ferr.json_escape text))
           | "shutdown" ->
               Atomic.set srv.s_stop true;
-              mk ~op ~wind:true (fun ~dt_ms ->
-                  Printf.sprintf
-                    "{\"id\": %s, \"rid\": %d, \"status\": \"ok\", \"op\": \
-                     \"shutdown\", \"ms\": %.3f}"
-                    id rid dt_ms)
-          | "spm" -> (
-              match handle_spm srv j ~rid with
-              | Ok (rq, strategy_s, body, cached, degraded, digest, sw) ->
-                  let kind =
-                    if cached then Window.Hit
-                    else if rq.rq_cache then Window.Miss
-                    else Window.Uncached
-                  in
-                  mk ~op ~kind ~digest:(Some digest) ~cached:(Some cached)
-                    ~degraded ~sw (fun ~dt_ms ->
-                      let trace =
-                        if rq.rq_want_trace then
-                          Some (trace_tree ~rid ~op ~dt_ms sw)
-                        else None
-                      in
-                      render_spm ~id ~rid ~strategy_s ~cached ~degraded
-                        ~digest ~dt_ms ~trace body)
-              | Error e -> error ~id ~op e
-              | exception e -> (
-                  match Ferr.of_exn e with
-                  | Some fe -> error ~id ~op fe
-                  | None ->
-                      error ~id ~op
-                        (Ferr.Runtime
-                           {
-                             loc = "serve";
-                             step = -1;
-                             msg = Printexc.to_string e;
-                           })))
-          | "verify" -> (
-              match handle_verify srv j ~rid with
-              | Ok (rq, body, cached, degraded, digest, sw) ->
-                  let kind =
-                    if cached then Window.Hit
-                    else if rq.rq_cache then Window.Miss
-                    else Window.Uncached
-                  in
-                  mk ~op ~kind ~digest:(Some digest) ~cached:(Some cached)
-                    ~degraded ~sw (fun ~dt_ms ->
-                      let trace =
-                        if rq.rq_want_trace then
-                          Some (trace_tree ~rid ~op ~dt_ms sw)
-                        else None
-                      in
-                      render_verify ~id ~rid ~cached ~degraded ~digest ~dt_ms
-                        ~trace body)
-              | Error e -> error ~id ~op e
-              | exception e -> (
-                  match Ferr.of_exn e with
-                  | Some fe -> error ~id ~op fe
-                  | None ->
-                      error ~id ~op
-                        (Ferr.Runtime
-                           {
-                             loc = "serve";
-                             step = -1;
-                             msg = Printexc.to_string e;
-                           })))
-          | "analyze" | "extract" -> (
-              match handle_analyze srv j ~rid ~op with
-              | Ok (rq, p, cached, degraded, digest, sw) ->
-                  let kind =
-                    if cached then Window.Hit
-                    else if rq.rq_cache then Window.Miss
-                    else Window.Uncached
-                  in
-                  mk ~op ~kind ~digest:(Some digest) ~cached:(Some cached)
-                    ~degraded ~steps:p.mp_steps ~sw (fun ~dt_ms ->
-                      let trace =
-                        if rq.rq_want_trace then
-                          Some (trace_tree ~rid ~op ~dt_ms sw)
-                        else None
-                      in
-                      render_ok ~id ~rid ~op ~cached ~degraded ~dt_ms ~trace
-                        p)
-              | Error e -> error ~id ~op e
-              | exception e -> (
+              simple ~op ~wind:true ""
+          | _ -> (
+              match List.find_opt (fun (Op o) -> o.name = op) ops with
+              | None ->
+                  error ~id ~op
+                    (Ferr.Bad_request
+                       { msg = Printf.sprintf "unknown op %S" op })
+              | Some (Op o) -> (
                   (* a worker exception that escaped the taxonomy must
                      never kill the daemon — or poison other clients *)
-                  match Ferr.of_exn e with
-                  | Some fe -> error ~id ~op fe
-                  | None ->
-                      error ~id ~op
-                        (Ferr.Runtime
-                           {
-                             loc = "serve";
-                             step = -1;
-                             msg = Printexc.to_string e;
-                           })))
-          | other ->
-              error ~id ~op:other
-                (Ferr.Bad_request
-                   { msg = Printf.sprintf "unknown op %S" other })))
+                  try run_op srv o j ~rid ~id
+                  with e ->
+                    error ~id ~op
+                      (match Ferr.of_exn e with
+                      | Some fe -> fe
+                      | None ->
+                          Ferr.Runtime
+                            {
+                              loc = "serve";
+                              step = -1;
+                              msg = Printexc.to_string e;
+                            })))))
 
-(* One request line in, one response line out. Returns the response and
-   whether the connection (or the whole server) should wind down. *)
-let handle_line srv line =
+(* One parsed request line in, one response line out. Returns the
+   response and whether the connection (or the whole server) should wind
+   down. *)
+let handle_line srv parsed =
   let rid = Atomic.fetch_and_add srv.s_rid 1 in
   let t0 = Unix.gettimeofday () in
-  let h = dispatch srv ~rid line in
+  let h = dispatch srv ~rid parsed in
   let dt_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   Obs.observe (Lazy.force m_request_ms) (int_of_float dt_ms);
   Window.record srv.s_window h.h_kind (int_of_float dt_ms);
@@ -1078,8 +932,7 @@ let handle_line srv line =
         Some (trace_tree ~rid ~op:h.h_op ~dt_ms h.h_sw)
     | _ -> None
   in
-  log_request srv ~rid ~op:h.h_op ~dt_ms ~digest:h.h_digest ~cached:h.h_cached
-    ~err:h.h_err ~degraded:h.h_degraded ~steps:h.h_steps ~slow_spans;
+  log_request srv ~rid ~dt_ms ~slow_spans h;
   (h.h_render ~dt_ms, h.h_wind_down)
 
 (* Wake the acceptor blocked in [Unix.accept]: connect to ourselves and
@@ -1093,15 +946,21 @@ let poke srv =
       (try Unix.close fd with Unix.Unix_error _ -> ())
 
 let serve_connection srv fd =
-  let reader = make_reader fd in
+  let reader = make_reader ~max:max_line_bytes fd in
   let rec loop () =
     match read_line reader with
     | None -> ()
     | Some line when String.trim line = "" -> loop ()
     | Some line ->
-        let resp, wind_down = handle_line srv line in
+        let resp, wind_down = handle_line srv (Json.parse line) in
         write_line fd resp;
         if wind_down then poke srv else loop ()
+    | exception Line_too_long ->
+        (* the rest of the line cannot be framed: answer, then hang up *)
+        let msg =
+          Printf.sprintf "request line longer than %d bytes" max_line_bytes
+        in
+        write_line fd (fst (handle_line srv (Error msg)))
   in
   (* a client hanging up mid-request or mid-response is its own problem *)
   try loop () with Unix.Unix_error _ -> ()
@@ -1112,7 +971,11 @@ let accept_loop srv =
     else
       match Unix.accept srv.s_fd with
       | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error _ -> if Atomic.get srv.s_stop then () else ()
+      | exception Unix.Unix_error _ ->
+          (* out of descriptors (EMFILE/ENFILE) or an aborted handshake:
+             the listener is still good, so back off and keep serving *)
+          Unix.sleepf 0.01;
+          loop ()
       | cfd, _ ->
           if Atomic.get srv.s_stop then (
             (try Unix.close cfd with Unix.Unix_error _ -> ()))

@@ -8,36 +8,49 @@
     simulate-and-analyze work is dispatched onto a persistent
     {!Foray_util.Parallel.pool} of domains.
 
-    {b Operations} (the ["op"] field):
-    - ["analyze"] — run the full pipeline on a program (["program"] name
-      or inline ["source"]) or on a stored trace file (["trace"] path,
-      optionally ["shards"]/["jobs"]/["strict"]); returns the FORAY model
-      plus run statistics.
-    - ["extract"] — like [analyze] on a program, but the response carries
-      only the model (the CLI [extract] analogue).
-    - ["spm"] — Phase II buffer selection (the CLI [spm] analogue): run
-      the pipeline, derive buffer candidates and solve the placement for
-      one capacity (["spm_bytes"]) or a sweep (["sizes"] array; default
-      256..16384). The model is addressed by ["program"], inline
-      ["source"], or ["digest"] — the source digest an earlier
-      analyze/extract/spm of this daemon reported (unknown digests are
-      [E_NOT_FOUND]). ["strategy"] is ["optimal"] (default), ["greedy"]
-      or ["stochastic"] ({!Foray_spm.Dse.solve}); the stochastic knobs
-      are ["seed"], ["budget_proposals"], ["restarts"], and the
-      request's ["deadline_ms"] doubles as the anytime cutoff. The
-      response carries a ["results"] array (one selection per size, with
-      a ["search"] statistics object under the stochastic strategy),
-      cached by model key x spm configuration.
+    {b Compute ops.} Four ops run analysis work. They share one request
+    path, so everything in this paragraph holds for each of them.
+    - {e Addressing.} The input is a suite ["program"] name or an inline
+      ["source"] (source wins); [spm] and [verify] also take, in their
+      place, a ["digest"] that an earlier response of this daemon
+      reported (an unknown digest is [E_NOT_FOUND]); [analyze], [extract] and [verify] also take a
+      stored ["trace"] file path, which then wins, with ["shards"] and
+      ["jobs"] for the sharded analysis. No input is [E_BAD_REQUEST].
+    - {e Budgets.} ["max_steps"] (clamped to [config.max_steps_cap]),
+      ["deadline_ms"] and ["max_trace_events"] feed
+      {!Minic_sim.Interp.config}; exhaustion degrades the result, it does
+      not fail it. ["nexec"]/["nloc"] set the Step-4 thresholds and
+      ["trace_scalars"] the tracer.
+    - {e Cache.} Results are cached by the input's key (see {b Model
+      cache}); ["cache": false] bypasses the lookup and the insert. The
+      response's ["cached"] field says whether it was a hit.
+    - {e Strict.} ["strict": true] turns a degraded result into its typed
+      error ([E_BUDGET], [E_TRACE_CORRUPT]) and reads traces fail-fast.
+    - {e Inline trace.} ["trace": true] returns the request's span tree
+      as the ["trace"] field (see {b Request telemetry}).
+
+    The ops:
+    - ["analyze"] — the FORAY model plus run statistics ([n_refs],
+      [n_loops], [steps], [accesses], [events]).
+    - ["extract"] — the model only (the CLI [extract] analogue); shares
+      cache entries with [analyze].
+    - ["spm"] — Phase II buffer selection (the CLI [spm] analogue): derive
+      buffer candidates and solve the placement for one capacity
+      (["spm_bytes"]) or a sweep (["sizes"] array; default 256..16384).
+      ["strategy"] is ["optimal"] (default), ["greedy"] or ["stochastic"]
+      ({!Foray_spm.Dse.solve}); the stochastic knobs are ["seed"],
+      ["budget_proposals"], ["restarts"], and ["deadline_ms"] doubles as
+      the anytime cutoff. The response carries the source ["digest"], the
+      ["strategy"] and a ["results"] array (one selection per size, with
+      a ["search"] statistics object under the stochastic strategy).
     - ["verify"] — per-reference model-replay verification (the CLI
       [verify] analogue, {!Foray_verify.Verify}): extract the model, then
       replay the recorded access stream against it and render a verdict
       per reference — [proved], or [diverges] with the first-divergence
-      counterexample. The model is addressed like [spm] (["program"],
-      inline ["source"], a remembered ["digest"], or a stored ["trace"]
-      path, with ["shards"]/["jobs"]/["strict"] honoured for traces); the
-      response carries the {!Foray_verify.Verify.report_to_json} object
-      as the ["verify"] field, cached by model key (or trace digest x
-      thresholds).
+      counterexample. The response carries the input ["digest"] and the
+      {!Foray_verify.Verify.report_to_json} object as ["verify"].
+
+    {b Other ops.}
     - ["metrics"] — the process metrics registry
       ({!Foray_obs.Obs.to_json}) plus a ["window"] object (the
       {!Foray_obs.Window} 10s/60s/300s sliding stats) and a ["slow"]
@@ -51,16 +64,10 @@
     - ["shutdown"] — reply, then stop accepting, drain connections, join
       the pool and remove the socket.
 
-    Analyze/extract accept per-request budgets ["max_steps"],
-    ["deadline_ms"], ["max_trace_events"] (enforced by the
-    {!Minic_sim.Interp.config} machinery; exhaustion degrades the result,
-    it does not fail it), Step-4 thresholds ["nexec"]/["nloc"],
-    ["trace_scalars"], and ["cache": false] to bypass the model cache.
-
     {b Request telemetry.} Every request is assigned a [rid] (echoed in
-    the response and in all telemetry). ["trace": true] on
-    analyze/extract returns the request's reconstructed span tree inline
-    as the ["trace"] field — a synthetic ["request"] root whose
+    the response and in all telemetry). ["trace": true] on a compute op
+    returns the request's reconstructed span tree inline as the
+    ["trace"] field — a synthetic ["request"] root whose
     [dur_us] is the same latency the response's ["ms"] field and the
     access log report, with the pool task's spans as children. With
     [config.access_log] set, each request appends one JSONL line (ts,
@@ -75,16 +82,19 @@
     [E_*] codes and JSON shape as the CLI; recoverable shortfalls come
     back as [{"status": "ok", "degraded": [...]}] with the pipeline's
     degradation provenance. Protocol violations (bad JSON, unknown op,
-    mistyped field) are [E_BAD_REQUEST].
+    mistyped field, a request line over {!max_line_bytes}) are
+    [E_BAD_REQUEST].
 
-    {b Model cache.} Results are cached in a byte-bounded {!Lru} keyed by
-    {!Foray_core.Pipeline.model_key} (source digest × analysis config), so
-    repeat traffic is served from memory without re-simulating. [spm]
-    responses share the cache under keys extending the model key with the
-    spm configuration (sizes, strategy, seed, budget, restarts,
-    deadline), and sources are remembered by digest so [spm] requests can
-    readdress analyzed models. Degraded results are never cached.
-    Hits/misses/evictions are counted under [serve.cache.*]. *)
+    {b Model cache.} Results are cached in a byte-bounded {!Lru}, so
+    repeat traffic is served from memory without re-simulating. A source
+    input is keyed by {!Foray_core.Pipeline.model_key} (source digest ×
+    analysis config), a stored trace by its content digest × the Step-4
+    thresholds. [analyze] and [extract] share entries; [verify] prefixes
+    the key, and [spm] extends it with the spm configuration (sizes,
+    strategy, seed, budget, restarts, deadline). Sources are remembered
+    by digest so later requests can readdress them. Degraded results are
+    never cached. Hits/misses/evictions are counted under
+    [serve.cache.*]. *)
 
 type config = {
   socket_path : string;
@@ -127,6 +137,11 @@ val socket_path : server -> string
 (** A fresh short path under the temp directory, safe for
     [sun_path]-length limits. *)
 val temp_socket_path : unit -> string
+
+(** The longest request line the daemon reads (16 MiB, newline excluded).
+    A longer line is answered with [E_BAD_REQUEST] and the connection is
+    closed. *)
+val max_line_bytes : int
 
 (** {1 Client side} *)
 

@@ -76,7 +76,10 @@ let t_json_errors () =
   bad "[1, 2,]";
   bad "tru";
   bad "1 2";
-  bad "{\"a\": 1} trailing"
+  bad "{\"a\": 1} trailing";
+  (* \u takes exactly four hex digits: no OCaml-literal underscores *)
+  bad "\"\\u4_1_\"";
+  bad "\"\\u_041\""
 
 let t_json_fields () =
   let j =
@@ -789,7 +792,8 @@ let t_analyze_trace_path () =
                   let warm = rq () in
                   Alcotest.(check bool) "trace cold is a miss" false
                     (cached cold);
-                  Alcotest.(check bool) "trace warm is a hit" true (cached warm);
+                  Alcotest.(check bool) "trace warm is a hit" true
+                    (cached warm);
                   Alcotest.(check string) "trace warm model identical"
                     (model cold) (model warm))
                 paths)))
@@ -805,9 +809,10 @@ let t_verify_op () =
   let m, events =
     Tutil.run_offline ~thresholds:fig4a_thresholds (Minic.Parser.program src)
   in
-  let local = parse_json (Verify.report_to_json (Verify.verify m.Pipeline.model events)) in
+  let local_report = Verify.verify m.Pipeline.model events in
+  let local = parse_json (Verify.report_to_json local_report) in
   Alcotest.(check bool) "local report proves" true
-    (Verify.all_proved (Verify.verify m.Pipeline.model events));
+    (Verify.all_proved local_report && Verify.proved local_report > 0);
   let verify_field j =
     match Json.member "verify" j with
     | Some v -> v
@@ -848,7 +853,9 @@ let t_verify_op () =
                   (verify_field warm = verify_field cold);
                 cold
               in
-              let by_prog = check_pair "program" [ ("program", "\"fig4a\"") ] local in
+              let by_prog =
+                check_pair "program" [ ("program", "\"fig4a\"") ] local
+              in
               let digest =
                 match Json.member "digest" by_prog with
                 | Some (Json.Str d) -> d
@@ -860,7 +867,8 @@ let t_verify_op () =
                 (cached by_digest);
               Alcotest.(check bool) "digest wire report = local" true
                 (verify_field by_digest = local);
-              ignore (check_pair "trace" [ ("trace", jstr tpath) ] local_trace))))
+              ignore
+                (check_pair "trace" [ ("trace", jstr tpath) ] local_trace))))
 
 let t_inline_trace_spm_verify () =
   (* "trace": true is honoured by every compute op, not only analyze *)
@@ -901,6 +909,178 @@ let t_inline_trace_spm_verify () =
                 (Json.member "trace" plain = None))
             [ ("spm", [ ("spm_bytes", "512") ]);
               ("verify", [ ("nexec", "1"); ("nloc", "1") ]) ]))
+
+let t_telemetry_counters_and_log () =
+  (* the cache hit is visible in the metrics counters, the window's slow
+     list and the access log; the exposition carries every serve family *)
+  let path = Serve.temp_socket_path () in
+  let log = Filename.temp_file "foray_test_access" ".jsonl" in
+  let cfg =
+    {
+      (Serve.default_config ~socket_path:path) with
+      Serve.jobs = 1;
+      access_log = Some log;
+      slow_ms = Some 0;
+    }
+  in
+  let srv = Serve.start cfg in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Serve.Client.shutdown path with _ -> ());
+      Serve.wait srv;
+      Foray_obs.Obs.set_enabled false;
+      Foray_obs.Span.set_enabled false;
+      try Sys.remove log with Sys_error _ -> ())
+    (fun () ->
+      let c = Serve.Client.connect path in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          let analyze () =
+            ignore
+              (Serve.Client.rpc c
+                 [ ("op", "\"analyze\""); ("program", "\"fig4a\"") ])
+          in
+          analyze ();
+          analyze ();
+          let m = Serve.Client.rpc c [ ("op", "\"metrics\"") ] in
+          let counter name =
+            match
+              Option.bind (Json.member "metrics" m) (fun ms ->
+                  Option.bind (Json.member "counters" ms) (Json.member name))
+            with
+            | Some (Json.Int i) -> i
+            | _ -> 0
+          in
+          Alcotest.(check bool) "hit counted" true
+            (counter "serve.cache.hits" >= 1);
+          Alcotest.(check bool) "miss counted" true
+            (counter "serve.cache.misses" >= 1);
+          (match Json.member "slow" m with
+          | Some (Json.Arr (_ :: _)) -> ()
+          | _ -> Alcotest.fail "slow list empty at slow_ms 0");
+          let text =
+            match
+              Json.member "text"
+                (Serve.Client.rpc c [ ("op", "\"metrics_text\"") ])
+            with
+            | Some (Json.Str t) -> t
+            | _ -> Alcotest.fail "text field missing"
+          in
+          List.iter
+            (fun needle ->
+              Alcotest.(check bool) ("exposition has " ^ needle) true
+                (contains text needle))
+            [ "# TYPE serve_request_ms histogram"; "serve_request_ms_sum";
+              "serve_request_ms_count"; "serve_pool_busy" ]);
+      let lines = In_channel.with_open_text log In_channel.input_lines in
+      Alcotest.(check bool) "access log shows the miss" true
+        (List.exists (fun l -> contains l "\"cached\": false") lines);
+      Alcotest.(check bool) "access log shows the hit" true
+        (List.exists (fun l -> contains l "\"cached\": true") lines))
+
+let t_accept_survives_emfile () =
+  (* The in-process daemon shares this process's descriptor table. Run it
+     out of descriptors while a client connects, then give them back: the
+     acceptor must back off and keep serving, not shut the daemon down. *)
+  with_daemon (fun path ->
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+      let hoard = ref [] in
+      let release () =
+        List.iter
+          (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+          !hoard;
+        hoard := []
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          release ();
+          Unix.close null)
+        (fun () ->
+          let rec fill n =
+            if n < 1 lsl 21 then
+              match Unix.dup null with
+              | fd ->
+                  hoard := fd :: !hoard;
+                  fill (n + 1)
+              | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) -> ()
+          in
+          fill 0;
+          (* one descriptor for the client's socket, none for the accept *)
+          (match !hoard with
+          | fd :: rest ->
+              Unix.close fd;
+              hoard := rest
+          | [] -> ());
+          let c = Serve.Client.connect path in
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close c)
+            (fun () ->
+              Unix.sleepf 0.2;
+              release ();
+              let j = Serve.Client.rpc c [ ("op", "\"ping\"") ] in
+              Alcotest.(check string) "client served once descriptors return"
+                "ok" (status j));
+          let c = Serve.Client.connect path in
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close c)
+            (fun () ->
+              let j = Serve.Client.rpc c [ ("op", "\"ping\"") ] in
+              Alcotest.(check string) "fresh connection served" "ok"
+                (status j))))
+
+let t_overlong_line () =
+  (* a request line over the fixed limit gets a typed error and a hang-up;
+     the daemon keeps serving other connections *)
+  with_daemon (fun path ->
+      let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (ADDR_UNIX path);
+          (* a daemon that never hangs up fails the test, not hangs it *)
+          Unix.setsockopt_float fd SO_RCVTIMEO 30.0;
+          let send s =
+            let b = Bytes.unsafe_of_string s in
+            let rec go off =
+              if off < Bytes.length b then
+                go (off + Unix.write fd b off (Bytes.length b - off))
+            in
+            go 0
+          in
+          let pad = String.make 65536 ' ' in
+          (try
+             send "{\"op\": \"ping\"";
+             for _ = 0 to (Serve.max_line_bytes / 65536) + 1 do
+               send pad
+             done;
+             send "}\n"
+           with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ());
+          (* everything up to the hang-up: one response line *)
+          let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+          let rec drain () =
+            match Unix.read fd chunk 0 4096 with
+            | 0 -> ()
+            | n ->
+                Buffer.add_subbytes buf chunk 0 n;
+                drain ()
+            | exception Unix.Unix_error (ECONNRESET, _, _) -> ()
+          in
+          drain ();
+          match String.split_on_char '\n' (Buffer.contents buf) with
+          | [ line; "" ] ->
+              let j = parse_json line in
+              Alcotest.(check string) "over-long line is E_BAD_REQUEST"
+                "E_BAD_REQUEST" (err_code j)
+          | _ ->
+              Alcotest.failf "expected one response line, got %S"
+                (Buffer.contents buf));
+      let c = Serve.Client.connect path in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          let j = Serve.Client.rpc c [ ("op", "\"ping\"") ] in
+          Alcotest.(check string) "daemon still serving" "ok" (status j)))
 
 let t_shutdown_removes_socket () =
   let path = Serve.temp_socket_path () in
@@ -944,6 +1124,11 @@ let tests =
       t_verify_op;
     Alcotest.test_case "inline trace tree on spm and verify" `Quick
       t_inline_trace_spm_verify;
+    Alcotest.test_case "cache counters, exposition and access log" `Quick
+      t_telemetry_counters_and_log;
+    Alcotest.test_case "accept survives descriptor exhaustion" `Quick
+      t_accept_survives_emfile;
+    Alcotest.test_case "over-long request line" `Quick t_overlong_line;
     Alcotest.test_case "shutdown removes socket" `Quick
       t_shutdown_removes_socket;
   ]
