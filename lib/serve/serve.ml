@@ -244,7 +244,8 @@ let cache_find ?(count = true) srv key =
   let hit = Lru.find srv.s_cache key in
   Mutex.unlock srv.s_cache_mutex;
   if count then
-    Obs.incr (Lazy.force (if hit = None then m_cache_misses else m_cache_hits));
+    Obs.incr
+      (Lazy.force (if Option.is_none hit then m_cache_misses else m_cache_hits));
   hit
 
 let cache_add srv key e =
