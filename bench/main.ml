@@ -47,9 +47,10 @@ let run_source_ok ?config ?thresholds src =
   | Ok (o : Pipeline.outcome) -> o.result
   | Error e -> Error.raise_error e
 
-let run_offline_ok ?thresholds ?shards ?jobs prog =
-  match Pipeline.run_offline ?thresholds ?shards ?jobs prog with
-  | Ok ((o : Pipeline.outcome), trace) -> (o.result, trace)
+(* Extraction online, then one more simulation into the verifier. *)
+let verify_source_ok ?thresholds src =
+  match Verify.of_source ?thresholds src with
+  | Ok ((o : Pipeline.outcome), rep) -> (o.result, rep)
   | Error e -> Error.raise_error e
 
 (* ------------------------------------------------------------------ *)
@@ -81,15 +82,16 @@ let figure2 b =
 
 let figure4 b =
   bsection b "Figure 4: annotated program, trace and model";
-  let prog = Minic.Parser.program Figures.fig4a in
-  let _, trace = run_offline_ok ~thresholds:(th 2 2) prog in
-  Printf.bprintf b "trace (first 16 of %d records):\n" (List.length trace);
-  List.iteri
-    (fun i e ->
-      if i < 16 then
-        Printf.bprintf b "  %s\n" (Foray_trace.Event.to_line e))
-    trace;
   let r = run_source_ok ~thresholds:(th 2 2) Figures.fig4a in
+  let head = Buffer.create 512 in
+  let records = ref 0 in
+  ignore
+    (Minic_sim.Interp.run r.instrumented ~sink:(fun e ->
+         if !records < 16 then
+           Printf.bprintf head "  %s\n" (Foray_trace.Event.to_line e);
+         incr records));
+  Printf.bprintf b "trace (first 16 of %d records):\n%s" !records
+    (Buffer.contents head);
   Buffer.add_string b (Model.to_c r.model)
 
 let figure7 b =
@@ -270,9 +272,7 @@ let model_fidelity b =
   in
   List.iter
     (fun (bench : Suite.bench) ->
-      let prog = Minic.Parser.program bench.source in
-      let r, trace = run_offline_ok prog in
-      let rep = Verify.verify r.model trace in
+      let _, rep = verify_source_ok bench.source in
       let exact =
         List.fold_left (fun a (rv : Verify.ref_verdict) -> a + rv.exact) 0
           rep.refs
@@ -299,6 +299,28 @@ let input_dependence b =
       Printf.bprintf b "%s: %s" name (Stability.to_string rep))
     [ "jpeg"; "lame"; "gsm"; "adpcm" ]
 
+(* The offline mode: simulate into a FORAYTR2 file, then analyze the
+   file. The model and the number of events stored. *)
+let offline_model prog =
+  Minic.Sema.check_exn prog;
+  let instrumented = Foray_instrument.Annotate.program prog in
+  let path = Filename.temp_file "foraybench" ".trace2" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let n = ref 0 in
+      Foray_trace.Tracefile.with_sink ~format:Foray_trace.Tracefile.Binary2
+        path (fun sink ->
+          ignore
+            (Minic_sim.Interp.run instrumented ~sink:(fun e ->
+                 incr n;
+                 sink e)));
+      match Pipeline.analyze_trace path with
+      | Ok ((tree, _), _) ->
+          let loop_kinds = Foray_instrument.Annotate.loop_table prog in
+          (Model.of_tree ~loop_kinds tree, !n)
+      | Error _ -> failwith "offline_model: the stored trace did not read back")
+
 let ablation_online b =
   bsection b "Ablation: online vs offline trace analysis (constant-space claim)";
   let t =
@@ -312,15 +334,15 @@ let ablation_online b =
       let t0 = now () in
       let online = run_ok prog in
       let t1 = now () in
-      let offline, trace = run_offline_ok prog in
+      let offline, events = offline_model prog in
       let t2 = now () in
       Tablefmt.row t
         [
           name;
-          string_of_int (List.length trace);
+          string_of_int events;
           Printf.sprintf "%.2f" (t1 -. t0);
           Printf.sprintf "%.2f" (t2 -. t1);
-          string_of_bool (Model.to_c online.model = Model.to_c offline.model);
+          string_of_bool (Model.to_c online.model = Model.to_c offline);
         ])
     [ "adpcm"; "gsm"; "fft" ];
   Buffer.add_string b (Tablefmt.render t)
@@ -490,7 +512,7 @@ let measure_pipeline (bench : Suite.bench) =
 type curve_point = {
   dp_domains : int;
   dp_seconds : float;
-  dp_speedup : float;  (** vs the sequential in-memory walk *)
+  dp_speedup : float;  (** vs the sequential mapped walk *)
 }
 
 type shard_perf = {
@@ -501,7 +523,9 @@ type shard_perf = {
   seq_seconds : float;
   shard_seconds : float;
   merge_seconds : float;
-  curve : curve_point list;  (** v2 mapped analysis at 1/2/4 domains *)
+  curve : curve_point list;
+      (** v2 mapped analysis at 1/2/4 requested domains (capped at the
+          hardware count) *)
   v1_bytes : int;
   v2_bytes : int;
   v1_read_eps : float;  (** v1 channel decode, events/s, null sink *)
@@ -510,8 +534,10 @@ type shard_perf = {
 }
 
 (* Sharded-analysis measurement on the largest trace in the suite: the
-   stored-trace analysis run once sequentially and once split over 4
-   domains, models compared byte-for-byte. Merge cost comes from the
+   mapped FORAYTR2 analysis run once sequentially and once cut into 4
+   frame-index shards, models compared byte-for-byte; the domains the
+   sharded pass actually used are counted from its parallel.tasks
+   labels. Merge cost comes from the
    pipeline.shard_merge timer, so metrics collection is switched on just
    for the sharded pass (and read back before measure_interp resets it).
    Schema 4 adds the FORAYTR2 wire measurements on the same trace: file
@@ -538,24 +564,6 @@ let measure_shards (pipelines : pipeline_perf list) =
     let r = f () in
     (r, now () -. t0)
   in
-  let seq_model, seq_seconds =
-    time (fun () ->
-        let tree, _ = Pipeline.analyze_events events in
-        Model.to_c (Model.of_tree ~loop_kinds tree))
-  in
-  Obs.reset ();
-  Obs.set_enabled true;
-  let shard_model, shard_seconds =
-    time (fun () ->
-        let tree, _ = Pipeline.analyze_events ~shards:4 events in
-        Model.to_c (Model.of_tree ~loop_kinds tree))
-  in
-  Obs.set_enabled false;
-  let merge_seconds =
-    Option.value ~default:0.0 (Obs.timer_seconds "pipeline.shard_merge")
-  in
-  if not (String.equal seq_model shard_model) then
-    failwith "measure_shards: sharded model diverged from the sequential one";
   (* FORAYTR2 wire measurements on the same trace. Decode rates are
      best-of-3 on a null sink, which isolates the readers from analysis. *)
   let module Tracefile = Foray_trace.Tracefile in
@@ -590,15 +598,34 @@ let measure_shards (pipelines : pipeline_perf list) =
       let v2_read_s =
         best_of 3 (fun () -> Tracefile.iter_mapped m Foray_trace.Event.null_sink)
       in
+      let mapped_model ?jobs shards =
+        let tree, _ = Pipeline.analyze_mapped ~shards ?jobs m in
+        Model.to_c (Model.of_tree ~loop_kinds tree)
+      in
+      let seq_model, seq_seconds = time (fun () -> mapped_model 1) in
+      Obs.reset ();
+      Obs.set_enabled true;
+      let shard_model, shard_seconds = time (fun () -> mapped_model 4) in
+      Obs.set_enabled false;
+      let merge_seconds =
+        Option.value ~default:0.0 (Obs.timer_seconds "pipeline.shard_merge")
+      in
+      (* domains that ran at least one shard task *)
+      let sjobs =
+        max 1
+          (List.length
+             (List.filter
+                (fun (_, v) -> v > 0)
+                (Obs.values ~prefix:"parallel.tasks{" ())))
+      in
+      if not (String.equal seq_model shard_model) then
+        failwith
+          "measure_shards: sharded model diverged from the sequential one";
       let eps dt = if dt > 0.0 then nf /. dt else 0.0 in
       let curve =
         List.map
           (fun d ->
-            let model, secs =
-              time (fun () ->
-                  let tree, _ = Pipeline.analyze_mapped ~shards:4 ~jobs:d m in
-                  Model.to_c (Model.of_tree ~loop_kinds tree))
-            in
+            let model, secs = time (fun () -> mapped_model ~jobs:d 4) in
             if not (String.equal seq_model model) then
               failwith
                 "measure_shards: v2 mapped model diverged from the sequential \
@@ -611,7 +638,7 @@ let measure_shards (pipelines : pipeline_perf list) =
         sname = largest.pname;
         sevents = Array.length events;
         shard_count = 4;
-        sjobs = min 4 (Parallel.default_jobs ());
+        sjobs;
         seq_seconds;
         shard_seconds;
         merge_seconds;
@@ -830,21 +857,26 @@ type verify_perf = {
   v_eps : float;  (** accesses checked per second of replay *)
 }
 
-(* Verification measurement (schema 8): replay each benchmark's extracted
-   model against its own recorded stream (Foray_verify) and time the
-   replay walk alone. Every reference must prove — a divergence here
-   means the extractor and the verifier disagree about the pipeline's own
-   ground truth, so it fails the harness rather than landing in the
-   record. *)
+(* Verification measurement (schema 8): verify each benchmark from
+   source (Foray_verify.Verify.of_source: online extraction, then one
+   more simulation into the verifier) and time the replay pass alone,
+   simulation included, from its [verify.replay] timer. Every reference
+   must prove — a divergence here means the extractor and the verifier
+   disagree about the pipeline's own ground truth, so it fails the
+   harness rather than landing in the record. *)
 let measure_verify () =
   List.map
     (fun (bench : Suite.bench) ->
-      let prog = Minic.Parser.program bench.source in
-      Minic.Sema.check_exn prog;
-      let r, trace = run_offline_ok prog in
-      let t0 = now () in
-      let rep = Verify.verify r.model trace in
-      let wall = now () -. t0 in
+      Obs.reset ();
+      Obs.set_enabled true;
+      let _, rep =
+        Fun.protect
+          ~finally:(fun () -> Obs.set_enabled false)
+          (fun () -> verify_source_ok bench.source)
+      in
+      let wall =
+        Option.value ~default:0.0 (Obs.timer_seconds "verify.replay")
+      in
       if Verify.diverged rep > 0 then
         failwith
           (Printf.sprintf "measure_verify: %s diverged on its own trace"
@@ -1080,10 +1112,11 @@ let () =
          else Suite.all)
     in
     let shard = measure_shards pipelines in
+    (* before measure_interp, whose Obs.reset scopes the metrics dump *)
+    let verify = measure_verify () in
     let interp = measure_interp ~reps:(if !quick then 3 else 5) in
     let serve = measure_serve () in
     let spm = measure_spm () in
-    let verify = measure_verify () in
     let section_times = List.map (fun (n, _, dt) -> (n, dt)) rendered in
     write_json ~path:!json_file ~section_times ~pipelines ~shard ~interp
       ~serve ~spm ~verify ~total:(now () -. t0)

@@ -110,17 +110,20 @@ let jobs_arg =
 
 let shards_arg =
   let doc =
-    "Cut the stored trace into $(docv) checkpoint-aligned shards and \
-     analyze them in parallel on a domain pool, merging the per-shard \
-     state. The printed model is byte-identical to a sequential analysis \
-     for any shard count."
+    "Cut the trace into $(docv) checkpoint-aligned shards and analyze \
+     them in parallel on a domain pool, merging the per-shard state. The \
+     cuts come from a FORAYTR2 frame index: a program, or a text or v1 \
+     trace, is first streamed into a temporary FORAYTR2 file. The printed \
+     model is byte-identical to a sequential analysis for any shard \
+     count."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 let shard_jobs_arg =
   let doc =
-    "Domains for sharded analysis (default: the shard count, capped at \
-     the machine's recommended domain count). Only meaningful together \
+    "Domains for sharded analysis (default: the shard count). Capped at \
+     the machine's recommended domain count whatever the value, since \
+     extra domains only slow the analysis down. Only meaningful together \
      with $(b,--shards)."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
@@ -222,7 +225,7 @@ let config_of ?max_steps ?deadline_ms ?max_trace_events scalars =
     max_trace_events;
   }
 
-(* Simulate a named program into a fresh binary trace file and hand the
+(* Simulate a named program into a fresh FORAYTR2 trace file and hand the
    path to [k]; the temporary is removed afterwards. Exercises the whole
    write+read trace path rather than an in-memory sink. *)
 let with_simulated_trace ~scalars src k =
@@ -233,7 +236,7 @@ let with_simulated_trace ~scalars src k =
   Fun.protect
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
-      Foray_trace.Tracefile.with_sink ~format:Foray_trace.Tracefile.Binary tmp
+      Foray_trace.Tracefile.with_sink ~format:Foray_trace.Tracefile.Binary2 tmp
         (fun sink ->
           ignore
             (Minic_sim.Interp.run ~config:(config_of scalars) instrumented
@@ -307,23 +310,13 @@ let extract_cmd =
                         config_of ?max_steps ?deadline_ms
                           ?max_trace_events:max_events scalars
                       in
-                      let outcome =
-                        if shards <= 1 then
-                          Foray_core.Pipeline.run_source ~config ~thresholds
-                            src
-                        else
-                          (* --shards: materialize the trace and analyze it
-                             in parallel instead of online. *)
-                          match
-                            Ferr.catch (fun () -> Minic.Parser.program src)
-                          with
-                          | Error _ as e -> e
-                          | Ok prog ->
-                              Result.map fst
-                                (Foray_core.Pipeline.run_offline ~config
-                                   ~thresholds ~shards ?jobs prog)
-                      in
-                      match outcome with
+                      (* --shards: simulate into a temporary FORAYTR2
+                         file and analyze it in parallel instead of
+                         online. *)
+                      match
+                        Foray_core.Pipeline.run_source ~config ~thresholds
+                          ~shards ?jobs src
+                      with
                       | Error e -> fail_error ~json e
                       | Ok { result = r; degraded } when strict && degraded <> []
                         ->
@@ -380,17 +373,14 @@ let trace_cmd =
       2
     end
     else
-    match Foray_trace.Tracefile.read_events src with
+    match
+      Foray_trace.Tracefile.with_sink ~format:target dst
+        (Foray_trace.Tracefile.read src)
+    with
     | Error c -> fail_error (Foray_core.Pipeline.error_of_corruption c)
-    | Ok (events, salvage) ->
-        let n = ref 0 in
-        Foray_trace.Tracefile.with_sink ~format:target dst (fun sink ->
-            Array.iter
-              (fun e ->
-                incr n;
-                sink e)
-              events);
-        Printf.printf "converted %d event(s): %s -> %s\n" !n src dst;
+    | Ok salvage ->
+        Printf.printf "converted %d event(s): %s -> %s\n"
+          salvage.Foray_trace.Tracefile.events src dst;
         finish_degraded (Foray_core.Pipeline.salvage_degradations salvage)
   in
   (* Import a foreign simulator log (the paper's plain "site addr kind"
@@ -589,42 +579,6 @@ let tree_cmd =
        ~doc:"Print the reconstructed dynamic loop tree (Algorithm 2)")
     Term.(const run $ prog_arg $ all_arg)
 
-(* ---- validate --------------------------------------------------------- *)
-
-let validate_cmd =
-  let run prog nexec nloc =
-    guard (fun () ->
-        match load_source prog with
-        | Error e -> fail_error e
-        | Ok src ->
-        let thresholds = Foray_core.Filter.{ nexec; nloc } in
-        let prog = Minic.Parser.program src in
-        let r, trace =
-          match Foray_core.Pipeline.run_offline ~thresholds prog with
-          | Ok (o, trace) -> (o.Foray_core.Pipeline.result, trace)
-          | Error e -> Ferr.raise_error e
-        in
-        let rep = Foray_verify.Verify.verify r.model trace in
-        Printf.printf
-          "model covers %d of %d accesses; prediction accuracy %.2f%%\n"
-          rep.covered (rep.covered + rep.uncovered)
-          (100.0 *. Foray_verify.Verify.accuracy rep);
-        List.map
-          (fun (rv : Foray_verify.Verify.ref_verdict) ->
-            (rv.mref.site, rv.path, rv.exact, rv.checked, rv.rebases))
-          rep.refs
-        |> List.sort compare
-        |> List.iter (fun (site, path, exact, checked, rebases) ->
-               Printf.printf "  site %x [%s]: %d/%d exact, %d rebase(s)\n" site
-                 (String.concat ">" (List.map string_of_int path))
-                 exact checked rebases);
-        0)
-  in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:"Replay the trace against the extracted model (fidelity check)")
-    Term.(const run $ prog_arg $ nexec_arg $ nloc_arg)
-
 (* ---- verify ----------------------------------------------------------- *)
 
 module Verify = Foray_verify.Verify
@@ -660,15 +614,10 @@ let verify_cmd =
         (* Render the verdicts and map them onto the exit contract:
            0 all proved, 1 any divergence (printed counterexample),
            3 proved-but-degraded. *)
-        let finish ?(degraded = []) model feed =
-          let model =
-            match perturb with
-            | None -> model
-            | Some d -> perturb_model d model
-          in
-          let sink, report = Verify.sink model in
-          feed sink;
-          let rep = report () in
+        let edit =
+          match perturb with None -> Fun.id | Some d -> perturb_model d
+        in
+        let finish ?(degraded = []) rep =
           if json then print_endline (Verify.report_to_json rep)
           else print_string (Verify.report_to_string rep);
           if Verify.diverged rep > 0 then begin
@@ -692,24 +641,24 @@ let verify_cmd =
               fail_error ~json (Foray_core.Pipeline.error_of_corruption c)
           | Ok ((tree, _), salvage) ->
               (* replay the same salvaged stream, straight off the file *)
+              let sink, report =
+                Verify.sink (edit (Foray_core.Model.of_tree ~thresholds tree))
+              in
+              ignore (Foray_trace.Tracefile.read prog sink);
               finish
                 ~degraded:(Foray_core.Pipeline.salvage_degradations salvage)
-                (Foray_core.Model.of_tree ~thresholds tree)
-                (fun sink -> ignore (Foray_trace.Tracefile.read prog sink))
+                (report ())
         else
           match load_source prog with
           | Error e -> fail_error ~json e
           | Ok src -> (
-              let p = Minic.Parser.program src in
+              (* extract online, then replay one more simulation *)
               match
-                Foray_core.Pipeline.run_offline ~config:(config_of scalars)
-                  ~thresholds ~shards ?jobs p
+                Verify.of_source ~config:(config_of scalars) ~thresholds
+                  ~shards ?jobs ~edit src
               with
               | Error e -> fail_error ~json e
-              | Ok (o, events) ->
-                  finish ~degraded:o.Foray_core.Pipeline.degraded
-                    o.Foray_core.Pipeline.result.Foray_core.Pipeline.model
-                    (fun sink -> List.iter sink events)))
+              | Ok (o, rep) -> finish ~degraded:o.Foray_core.Pipeline.degraded rep))
   in
   let perturb_arg =
     let doc =
@@ -1574,6 +1523,6 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ list_cmd; extract_cmd; annotate_cmd; trace_cmd; analyze_cmd;
-            tree_cmd; validate_cmd; verify_cmd; stability_cmd; compare_cmd;
+            tree_cmd; verify_cmd; stability_cmd; compare_cmd;
             tables_cmd; spm_cmd; metrics_cmd; explain_cmd; tracecheck_cmd;
             faults_cmd; serve_cmd; serve_bench_cmd; top_cmd ]))

@@ -30,13 +30,14 @@ let () =
   print_string (Minic.Pretty.program (Foray_instrument.Annotate.program prog));
 
   banner "Profile trace, first 24 records (Figure 4c)";
-  let (_ : Foray_core.Pipeline.outcome), trace =
-    or_die (Foray_core.Pipeline.run_offline prog)
+  let records = ref 0 in
+  let sink e =
+    if !records < 24 then print_endline (Foray_trace.Event.to_line e);
+    incr records
   in
-  List.iteri
-    (fun i e -> if i < 24 then print_endline (Foray_trace.Event.to_line e))
-    trace;
-  Printf.printf "... (%d records total)\n" (List.length trace);
+  ignore
+    (Minic_sim.Interp.run (Foray_instrument.Annotate.program prog) ~sink);
+  Printf.printf "... (%d records total)\n" !records;
 
   banner "FORAY model (Figure 4d)";
   (* The example is tiny, so relax the paper's Nexec=20/Nloc=10 thresholds

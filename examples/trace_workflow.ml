@@ -50,12 +50,13 @@ let () =
     (Foray_core.Model.n_refs model);
 
   banner "Stage 2b: the same analysis, sharded 4 ways across domains";
-  let events, _salvage =
-    match Foray_trace.Tracefile.read_events path with
+  (* A v1 file has no frame index: analyze_trace streams it into a
+     temporary FORAYTR2 file and cuts that. *)
+  let (sharded_tree, _), _salvage =
+    match Foray_core.Pipeline.analyze_trace ~shards:4 path with
     | Ok x -> x
     | Error _ -> assert false (* salvage mode always returns Ok *)
   in
-  let sharded_tree, _ = Foray_core.Pipeline.analyze_events ~shards:4 events in
   let sharded_model = Foray_core.Model.of_tree ~loop_kinds sharded_tree in
   Printf.printf "4-shard model identical to the sequential one: %b\n"
     (Foray_core.Model.to_c sharded_model = Foray_core.Model.to_c model);

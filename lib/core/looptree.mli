@@ -85,8 +85,9 @@ val mismatches : t -> int
 
 (** {1 Sharded analysis}
 
-    A stored trace can be cut at any checkpoint into context-complete
-    shards ({!Foray_trace.Tracefile.shards}); each shard is walked by its
+    A FORAYTR2 trace can be cut at any checkpoint-led frame into
+    context-complete shards ({!Foray_trace.Tracefile.frame_shards}); each
+    shard is walked by its
     own mergeable tree whose starting stack is rebuilt with
     {!restore_context}, and the per-shard trees are folded with {!merge}.
     Because mergeable references log raw observations instead of folding
@@ -96,7 +97,8 @@ val mismatches : t -> int
 
 (** [restore_context t ctx] puts a fresh mergeable walker on the loop
     stack described by [ctx] — [(lid, iter)] pairs, outermost first, as
-    produced by {!Foray_trace.Tracefile.shards}. The stack nodes are
+    stamped in a shard's first frame header
+    ({!Foray_trace.Tracefile.fshard}[.fs_context]). The stack nodes are
     created with [entries = 0] (the [Loop_enter] that opened them belongs
     to an earlier shard) and their iteration counters restored, so the
     walker behaves exactly like the sequential walker resumed at the cut.

@@ -157,44 +157,6 @@ let budget_degradations (sim : Interp.result) =
   | Interp.Stopped { budget; limit; spent } ->
       [ Degraded_budget { budget; limit; spent; events_seen = sim.accesses } ]
 
-let run ?(config = Interp.default_config) ?(thresholds = Filter.default) prog =
-  match
-    Span.with_span ~cat:"pipeline" "pipeline.sema" (fun () ->
-        Minic.Sema.check prog)
-  with
-  | Error errs -> Error (sema_error errs)
-  | Ok () -> (
-      let instrumented, loop_kinds =
-        Span.with_span ~cat:"pipeline" "pipeline.annotate" (fun () ->
-            (Annotate.program prog, Annotate.loop_table prog))
-      in
-      let tree = Looptree.create () in
-      let tstats = Tstats.create () in
-      let sink = Event.tee (Looptree.sink tree) (Tstats.sink tstats) in
-      match
-        Span.with_span ~cat:"pipeline" "pipeline.simulate" (fun () ->
-            Obs.time t_simulate (fun () -> Interp.run ~config instrumented ~sink))
-      with
-      | exception Interp.Runtime_error_at { msg; step } ->
-          Error (Error.Runtime { loc = "simulate"; step; msg })
-      | sim ->
-          let result =
-            finish ~thresholds ~program:prog ~instrumented ~loop_kinds tree
-              tstats sim
-          in
-          Ok { result; degraded = budget_degradations sim })
-
-let run_source ?config ?thresholds src =
-  match
-    Span.with_span ~cat:"pipeline" "pipeline.parse" (fun () ->
-        Minic.Parser.program src)
-  with
-  | exception Minic.Parser.Error (msg, line) -> Error (Error.Parse { msg; line })
-  | exception Minic.Lexer.Error (msg, line) -> Error (Error.Parse { msg; line })
-  | prog -> run ?config ?thresholds prog
-
-(* --- sharded trace analysis -------------------------------------------- *)
-
 (* Shard results reduce tree-wise on the pool (log2 rounds of pairwise
    merges — and with arena logs each merge is a pointer splice, not a
    copy); Tstats are a few dozen scalars, so a left fold is free. *)
@@ -214,68 +176,27 @@ let merge_parts ~jobs parts =
       Looptree.finalize ~jobs tree);
   (tree, tstats)
 
-let analyze_shards ~shards:n ~jobs events =
-  let cuts = Tracefile.shards ~n events in
-  let parts =
-    Foray_util.Parallel.map ~jobs
-      (fun (s : Tracefile.shard) ->
-        Span.with_span ~cat:"pipeline" "shard.analyze"
-          ~args:
-            [ ("shard", string_of_int s.s_index);
-              ("events", string_of_int s.s_len) ]
-        @@ fun () ->
-        let tree = Looptree.create ~mergeable:true () in
-        Looptree.restore_context tree s.s_context;
-        let tstats = Tstats.create () in
-        let sink = Event.tee (Looptree.sink tree) (Tstats.sink tstats) in
-        for i = s.s_start to s.s_start + s.s_len - 1 do
-          sink events.(i)
-        done;
-        (* The first shard is the true trace prefix, so its Algorithm-3
-           folds are already on the sequential walker's path — run them
-           now, overlapped with the other shards' walks, leaving that much
-           less replay after the merge. Later shards must stay raw: their
-           folds would start from the wrong prefix and be discarded. *)
-        if s.s_index = 0 then Looptree.finalize tree;
-        Obs.incr m_shards;
-        (tree, tstats))
-      cuts
-  in
-  merge_parts ~jobs parts
+let walker ?mergeable () =
+  let tree = Looptree.create ?mergeable () in
+  let tstats = Tstats.create () in
+  (tree, tstats, Event.tee (Looptree.sink tree) (Tstats.sink tstats))
 
-let analyze_events ?(shards = 1) ?jobs events =
-  if shards <= 1 then begin
-    let tree = Looptree.create () in
-    let tstats = Tstats.create () in
-    let sink = Event.tee (Looptree.sink tree) (Tstats.sink tstats) in
-    Array.iter sink events;
-    (tree, tstats)
-  end
-  else
-    (* Never spawn more domains than the hardware offers: extra domains
-       only add minor-GC synchronization, they cannot add parallelism. *)
-    let jobs =
-      match jobs with
-      | Some j -> j
-      | None -> min shards (Foray_util.Parallel.default_jobs ())
-    in
-    analyze_shards ~shards ~jobs events
-
-(* Zero-copy variant: shard workers decode their mmap'd frame windows
-   straight into the tree sinks — no [Event.event array] is ever built. *)
+(* Zero-copy sharding: workers decode their mmap'd frame windows straight
+   into the tree sinks — no [Event.event array] is ever built. *)
 let analyze_mapped ?(shards = 1) ?jobs m =
   if shards <= 1 || Tracefile.mapped_events m = 0 then begin
-    let tree = Looptree.create () in
-    let tstats = Tstats.create () in
-    Tracefile.iter_mapped m
-      (Event.tee (Looptree.sink tree) (Tstats.sink tstats));
+    let tree, tstats, sink = walker () in
+    Tracefile.iter_mapped m sink;
     (tree, tstats)
   end
   else begin
+    (* Never run more domains than the hardware offers, whatever was
+       asked for: extra domains only add minor-GC synchronization, they
+       cannot add parallelism. *)
     let jobs =
-      match jobs with
-      | Some j -> j
-      | None -> min shards (Foray_util.Parallel.default_jobs ())
+      min
+        (Option.value jobs ~default:shards)
+        (Foray_util.Parallel.default_jobs ())
     in
     let cuts = Tracefile.frame_shards ~n:shards m in
     let parts =
@@ -286,11 +207,15 @@ let analyze_mapped ?(shards = 1) ?jobs m =
               [ ("shard", string_of_int fs.fs_index);
                 ("events", string_of_int fs.fs_events) ]
           @@ fun () ->
-          let tree = Looptree.create ~mergeable:true () in
+          let tree, tstats, sink = walker ~mergeable:true () in
           Looptree.restore_context tree fs.fs_context;
-          let tstats = Tstats.create () in
-          let sink = Event.tee (Looptree.sink tree) (Tstats.sink tstats) in
           Tracefile.iter_fshard m fs sink;
+          (* The first shard is the true trace prefix, so its Algorithm-3
+             folds are already on the sequential walker's path — run them
+             now, overlapped with the other shards' walks, leaving that
+             much less replay after the merge. Later shards must stay raw:
+             their folds would start from the wrong prefix and be
+             discarded. *)
           if fs.fs_index = 0 then Looptree.finalize tree;
           Obs.incr m_shards;
           (tree, tstats))
@@ -299,30 +224,22 @@ let analyze_mapped ?(shards = 1) ?jobs m =
     merge_parts ~jobs parts
   end
 
-(* Analyze a trace file end to end, picking the fastest correct path: a
-   FORAYTR2 file goes through the mapped reader (and its frame-index
-   sharder); anything else — or a v2 file whose frames turn out damaged —
-   falls back to the salvaging event-array reader. The fallback rebuilds
-   fresh trees, so events a failing mapped pass already delivered are
-   never double-counted. *)
-let analyze_trace ?(strict = false) ?(shards = 1) ?jobs path =
-  let from_events () =
-    match Tracefile.read_events ~strict path with
-    | Error _ as e -> e
-    | Ok (events, salvage) ->
-        Ok (analyze_events ~shards ?jobs events, salvage)
-  in
-  if Tracefile.is_binary2 path then
-    match
-      let m = Tracefile.map path in
-      (analyze_mapped ~shards ?jobs m, Tracefile.mapped_events m)
-    with
-    | r, n -> Ok (r, Tracefile.clean_salvage n)
-    | exception Tracefile.Corrupt _ -> from_events ()
-  else from_events ()
+(* Stream [produce]'s events into a temporary FORAYTR2 file, then analyze
+   it by frame-index shards. The file is removed on every exit. *)
+let via_frames ~shards ?jobs produce =
+  let tmp = Filename.temp_file "foray" ".trace2" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      let v = Tracefile.with_sink ~format:Tracefile.Binary2 tmp produce in
+      let analysis =
+        Span.with_span ~cat:"pipeline" "pipeline.replay" (fun () ->
+            analyze_mapped ~shards ?jobs (Tracefile.map tmp))
+      in
+      (v, analysis))
 
-let run_offline ?(config = Interp.default_config)
-    ?(thresholds = Filter.default) ?(shards = 1) ?jobs prog =
+let run ?(config = Interp.default_config) ?(thresholds = Filter.default)
+    ?(shards = 1) ?jobs prog =
   match
     Span.with_span ~cat:"pipeline" "pipeline.sema" (fun () ->
         Minic.Sema.check prog)
@@ -333,34 +250,67 @@ let run_offline ?(config = Interp.default_config)
         Span.with_span ~cat:"pipeline" "pipeline.annotate" (fun () ->
             (Annotate.program prog, Annotate.loop_table prog))
       in
-      match
+      let simulate sink =
         Span.with_span ~cat:"pipeline" "pipeline.simulate" (fun () ->
-            Obs.time t_simulate (fun () ->
-                Interp.run_to_trace ~config instrumented))
+            Obs.time t_simulate (fun () -> Interp.run ~config instrumented ~sink))
+      in
+      match
+        if shards <= 1 then
+          let tree, tstats, sink = walker () in
+          (simulate sink, (tree, tstats))
+        else via_frames ~shards ?jobs simulate
       with
       | exception Interp.Runtime_error_at { msg; step } ->
           Error (Error.Runtime { loc = "simulate"; step; msg })
-      | sim, trace ->
-          (* Replay the stored trace through the analyzers — sequentially,
-             or sharded across a domain pool when [shards > 1]. *)
-          let tree, tstats =
-            Span.with_span ~cat:"pipeline" "pipeline.replay" (fun () ->
-                if shards <= 1 then begin
-                  let tree = Looptree.create () in
-                  let tstats = Tstats.create () in
-                  let sink =
-                    Event.tee (Looptree.sink tree) (Tstats.sink tstats)
-                  in
-                  List.iter sink trace;
-                  (tree, tstats)
-                end
-                else analyze_events ~shards ?jobs (Array.of_list trace))
-          in
+      | sim, (tree, tstats) ->
           let result =
             finish ~thresholds ~program:prog ~instrumented ~loop_kinds tree
               tstats sim
           in
-          Ok ({ result; degraded = budget_degradations sim }, trace))
+          Ok { result; degraded = budget_degradations sim })
+
+let run_source ?config ?thresholds ?shards ?jobs src =
+  match
+    Span.with_span ~cat:"pipeline" "pipeline.parse" (fun () ->
+        Minic.Parser.program src)
+  with
+  | exception Minic.Parser.Error (msg, line) -> Error (Error.Parse { msg; line })
+  | exception Minic.Lexer.Error (msg, line) -> Error (Error.Parse { msg; line })
+  | prog -> run ?config ?thresholds ?shards ?jobs prog
+
+(* Analyze a trace file end to end, picking the fastest correct path: a
+   FORAYTR2 file goes through the mapped reader (and its frame-index
+   sharder); anything else — or a v2 file whose frames turn out damaged —
+   streams through the salvaging reader, into one walker or, for several
+   shards, into a fresh FORAYTR2 file cut by its frame index. Both
+   fallbacks build fresh trees, so events a failing mapped pass already
+   delivered are never double-counted. *)
+let analyze_trace ?(strict = false) ?(shards = 1) ?jobs path =
+  let sequential () =
+    let tree, tstats, sink = walker () in
+    Result.map
+      (fun salvage -> ((tree, tstats), salvage))
+      (Tracefile.read ~strict path sink)
+  in
+  let streamed () =
+    if shards <= 1 then sequential ()
+    else
+      match via_frames ~shards ?jobs (Tracefile.read ~strict path) with
+      | read, analysis -> Result.map (fun salvage -> (analysis, salvage)) read
+      | exception Invalid_argument _ ->
+          (* Salvaged garbage can carry addresses FORAYTR2 cannot encode.
+             With no file to cut, walk the stream once: the result a
+             sharded analysis is bound to equal. *)
+          sequential ()
+  in
+  if Tracefile.is_binary2 path then
+    match
+      let m = Tracefile.map path in
+      (analyze_mapped ~shards ?jobs m, Tracefile.mapped_events m)
+    with
+    | r, n -> Ok (r, Tracefile.clean_salvage n)
+    | exception Tracefile.Corrupt _ -> streamed ()
+  else streamed ()
 
 let hints r = Hints.duplication_hints ~func_of_loop:r.func_of_loop r.tree
 

@@ -4,7 +4,7 @@
     online analysis = Steps 3.1/3.2) -> purge (Step 4) -> FORAY model],
     with trace statistics collected on the side for Table III.
 
-    The flow is {e total}: {!run}, {!run_source} and {!run_offline} return
+    The flow is {e total}: {!run} and {!run_source} return
     every failure as a typed {!Error.t} and every recoverable shortfall as
     a {!degradation} attached to a still-useful partial result — mirroring
     the paper's own tolerance of partial affine forms. Budget exhaustion
@@ -13,8 +13,9 @@
     analyzers finish on the events seen so far.
 
     The analysis consumes the simulator's event stream directly (online
-    mode); {!run_offline} instead materializes the trace and replays it,
-    which the tests use to show both modes agree. *)
+    mode). No run is ever held in memory as an event list: a sharded run
+    streams into a temporary FORAYTR2 file, and the file's frame index
+    ({!Foray_trace.Tracefile.frame_shards}) is the only shard cutter. *)
 
 type result = {
   program : Minic.Ast.program;  (** the pristine parse *)
@@ -64,62 +65,48 @@ val error_of_corruption : Foray_trace.Tracefile.corruption -> Error.t
 
 type outcome = { result : result; degraded : degradation list }
 
-(** [run ?config ?thresholds prog] executes the full flow on a parsed
-    program. Total: semantic and runtime failures come back as
-    [Error]; budget exhaustion yields [Ok] with [Degraded_budget]. *)
+(** [run ?config ?thresholds ?shards ?jobs prog] executes the full flow
+    on a parsed program. Total: semantic and runtime failures come back
+    as [Error]; budget exhaustion yields [Ok] with [Degraded_budget].
+    With [shards > 1] the simulator streams into a temporary FORAYTR2
+    file instead of the walker, and {!analyze_mapped} analyzes the file
+    in [shards] pieces on [jobs] domains; the file is removed afterwards
+    and the result is bit-identical to the online run. *)
 val run :
-  ?config:Minic_sim.Interp.config ->
-  ?thresholds:Filter.thresholds ->
-  Minic.Ast.program ->
-  (outcome, Error.t) Stdlib.result
-
-(** [run_source ?config ?thresholds src] parses and runs; lexer and parser
-    failures become [Error (Parse _)]. *)
-val run_source :
-  ?config:Minic_sim.Interp.config ->
-  ?thresholds:Filter.thresholds ->
-  string ->
-  (outcome, Error.t) Stdlib.result
-
-(** Offline variant: simulate to a stored trace, then analyze the trace —
-    sequentially by default, or cut into [shards] checkpoint-aligned
-    shards analyzed on [jobs] domains ([jobs] defaults to [shards] capped at the domain count) and
-    merged; see {!analyze_events}. Returns the outcome and the trace. *)
-val run_offline :
   ?config:Minic_sim.Interp.config ->
   ?thresholds:Filter.thresholds ->
   ?shards:int ->
   ?jobs:int ->
   Minic.Ast.program ->
-  (outcome * Foray_trace.Event.event list, Error.t) Stdlib.result
+  (outcome, Error.t) Stdlib.result
 
-(** {1 Sharded trace analysis}
+(** [run_source ?config ?thresholds ?shards ?jobs src] parses and runs;
+    lexer and parser failures become [Error (Parse _)]. *)
+val run_source :
+  ?config:Minic_sim.Interp.config ->
+  ?thresholds:Filter.thresholds ->
+  ?shards:int ->
+  ?jobs:int ->
+  string ->
+  (outcome, Error.t) Stdlib.result
 
-    [analyze_events ~shards ~jobs events] runs Algorithms 2–3 and the
-    trace statistics over a stored event stream. With [shards <= 1]
-    (default) this is the plain sequential walk. With [shards = n > 1]
-    the stream is cut by {!Foray_trace.Tracefile.shards} into at most [n]
-    context-complete chunks, each analyzed by its own mergeable walker on
-    a [jobs]-wide domain pool (default: [shards] capped at the available domain count), and the per-shard
-    states folded with [Looptree.merge] / [Tstats.merge]; the deferred
-    Algorithm-3 folds are then replayed in trace order
+(** {1 Sharded trace analysis} *)
+
+(** [analyze_mapped ~shards ~jobs m] runs Algorithms 2–3 and the trace
+    statistics over a mapped FORAYTR2 file. With [shards <= 1] (default)
+    this is the plain sequential walk. With [shards = n > 1] the frame
+    index ({!Foray_trace.Tracefile.frame_shards}) cuts the file into at
+    most [n] context-complete runs of frames; each worker decodes its
+    mmap'd frame window directly into its own mergeable walker, on
+    [jobs] domains (default [shards]; capped at
+    {!Foray_util.Parallel.default_jobs} in every case). The per-shard
+    states are folded with [Looptree.merge] / [Tstats.merge] and the
+    deferred Algorithm-3 folds replayed in trace order
     ([Looptree.finalize]), which makes the result {e bit-identical} to the
     sequential walk — the differential suite in [test/test_shard.ml]
     checks exactly this. Per-shard work is traced under [shard.analyze]
     spans; merging under the [pipeline.shard_merge] timer and the
-    [pipeline.shards_analyzed] counter. *)
-val analyze_events :
-  ?shards:int ->
-  ?jobs:int ->
-  Foray_trace.Event.event array ->
-  Looptree.t * Foray_trace.Tstats.t
-
-(** [analyze_mapped ~shards ~jobs m] is {!analyze_events} for a mapped
-    FORAYTR2 file: shard cut points come from the frame index
-    ({!Foray_trace.Tracefile.frame_shards}) and each worker decodes its
-    mmap'd frame window directly into its walker — no event array is ever
-    materialized. Bit-identical to the sequential walk, like
-    {!analyze_events}.
+    [pipeline.shards_analyzed] counter.
     @raise Foray_trace.Tracefile.Corrupt if a frame body is damaged. *)
 val analyze_mapped :
   ?shards:int ->
@@ -128,12 +115,16 @@ val analyze_mapped :
   Looptree.t * Foray_trace.Tstats.t
 
 (** [analyze_trace ?strict ?shards ?jobs path] analyzes a trace file end
-    to end by the fastest correct path: FORAYTR2 files go through
-    {!analyze_mapped} (clean salvage on success); other formats — and v2
-    files whose frames turn out damaged — go through the salvaging
-    event-array reader and {!analyze_events}, rebuilding fresh state so
-    nothing is double-counted. Never raises: salvage statistics or (under
-    [~strict]) the first corruption come back as values. *)
+    to end by the fastest correct path. A clean FORAYTR2 file goes
+    through {!analyze_mapped}. Other formats — and v2 files whose frames
+    turn out damaged — stream through the salvaging reader
+    ({!Foray_trace.Tracefile.read}): into one walker when [shards <= 1],
+    otherwise into a temporary FORAYTR2 file that {!analyze_mapped} then
+    cuts (a salvaged stream whose addresses FORAYTR2 cannot encode is
+    walked sequentially instead, with the same result). Either way fresh
+    state is built, so nothing is double-counted.
+    Never raises: salvage statistics or (under [~strict]) the first
+    corruption come back as values. *)
 val analyze_trace :
   ?strict:bool ->
   ?shards:int ->

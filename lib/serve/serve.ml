@@ -554,16 +554,13 @@ let spm_source p rq src =
       ({ v_text = spm_results_json sols; v_stats = [] }, o.Pipeline.degraded))
     (Pipeline.run_source ~config:rq.rq_config ~thresholds:rq.rq_thresholds src)
 
-(* The verify op: per-reference model-replay verdicts. *)
+(* The verify op: per-reference model-replay verdicts, over a second
+   simulation rather than a stored run. *)
 let verify_source rq src =
-  let prog = Minic.Parser.program src in
   Result.map
-    (fun (o, events) ->
-      let rep = Verify.verify o.Pipeline.result.Pipeline.model events in
-      ( { v_text = Verify.report_to_json rep; v_stats = [] },
-        o.Pipeline.degraded ))
-    (Pipeline.run_offline ~config:rq.rq_config ~thresholds:rq.rq_thresholds
-       prog)
+    (fun ((o : Pipeline.outcome), rep) ->
+      ({ v_text = Verify.report_to_json rep; v_stats = [] }, o.degraded))
+    (Verify.of_source ~config:rq.rq_config ~thresholds:rq.rq_thresholds src)
 
 (* A stored trace is verified against the model extracted from it, by
    replaying the same salvaged stream straight off the file. *)

@@ -844,8 +844,3 @@ let run ?(config = default_config) (prog : program) ~sink =
   end;
   { ret; output = List.rev ctx.output; steps = ctx.steps;
     accesses = ctx.accesses; stopped = !stopped }
-
-let run_to_trace ?(config = default_config) prog =
-  let sink, get = Event.collector () in
-  let res = run ~config prog ~sink in
-  (res, get ())

@@ -75,10 +75,6 @@ type result = {
     function, bad pointer operations). *)
 val run : ?config:config -> Minic.Ast.program -> sink:Foray_trace.Event.sink -> result
 
-(** Convenience: run and also return the full event list. *)
-val run_to_trace :
-  ?config:config -> Minic.Ast.program -> result * Foray_trace.Event.event list
-
 (** {1 Synthetic site ids}
 
     Real reference sites are expression node ids. Traffic not tied to a

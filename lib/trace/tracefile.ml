@@ -1016,47 +1016,3 @@ let salvage_to_string (s : salvage) =
     "%d event(s) salvaged, %d resync(s), %d byte(s) skipped%s" s.events
     s.resyncs s.bytes_skipped
     (if s.truncated_tail then ", truncated tail" else "")
-
-let read_events ?strict path =
-  let sink, events = Event.collector () in
-  match read ?strict path sink with
-  | Ok salvage -> Ok (Array.of_list (events ()), salvage)
-  | Error _ as e -> e
-
-(* --- sharding ----------------------------------------------------------- *)
-
-type shard = {
-  s_index : int;
-  s_start : int;
-  s_len : int;
-  s_context : (int * int) list;
-}
-
-let shards ~n events =
-  if n < 1 then invalid_arg "Tracefile.shards: n must be >= 1";
-  let total = Array.length events in
-  let w = Loopwalk.create () in
-  let cuts = ref [] (* (start index, context), newest first *) in
-  let next = ref 1 in
-  for idx = 0 to total - 1 do
-    (if !next < n && idx > 0 && idx >= !next * total / n then
-       match events.(idx) with
-       | Event.Checkpoint _ ->
-           cuts := (idx, Loopwalk.context w) :: !cuts;
-           (* One cut satisfies every boundary target passed so far; a
-              checkpoint-poor trace therefore yields fewer shards. *)
-           while !next < n && idx >= !next * total / n do
-             incr next
-           done
-       | Event.Access _ -> ());
-    Loopwalk.sink w events.(idx)
-  done;
-  let starts = Array.of_list ((0, []) :: List.rev !cuts) in
-  Array.to_list
-    (Array.mapi
-       (fun i (s_start, s_context) ->
-         let stop =
-           if i + 1 < Array.length starts then fst starts.(i + 1) else total
-         in
-         { s_index = i; s_start; s_len = stop - s_start; s_context })
-       starts)

@@ -12,9 +12,9 @@
       frames — per-frame site dictionaries, one-byte record heads and
       zigzag-delta-encoded addresses — built for zero-copy reading: the
       whole file is [Unix.map_file]'d and decoded straight out of the
-      mapping ({!map}/{!iter_mapped}), and the frame index doubles as a
-      shard cutter ({!frame_shards}) that never materializes an event
-      array.
+      mapping ({!map}/{!iter_mapped}), and the frame index doubles as the
+      shard cutter ({!frame_shards}), so no event array is ever
+      materialized.
 
     Readers auto-detect the format from the magic and raise {!Corrupt} on
     malformed or truncated content — a binary stream may only end at a
@@ -102,22 +102,28 @@ val iter_mapped : mapped -> Event.sink -> unit
 val is_binary2 : string -> bool
 
 (** A shard of whole frames: decode with {!iter_fshard} after restoring
-    [fs_context] (same form as {!shard}[.s_context]). *)
+    [fs_context] into a fresh mergeable walker. *)
 type fshard = {
   fs_index : int;  (** 0-based shard number, in trace order *)
   fs_frame : int;  (** index of the shard's first frame *)
   fs_frames : int;  (** number of frames in the shard *)
   fs_events : int;  (** events across those frames *)
   fs_context : (int * int) list;
-      (** loop stack at the shard's first event, outermost first *)
+      (** [(lid, iter)] loop stack at the shard's first event, outermost
+          first: the loops entered before this shard and still open, with
+          their current iteration counters (-1: entered, body not yet
+          begun) — {!Loopwalk.context} at the cut, as the v2 encoder
+          stamped it in the frame header *)
 }
 
 (** [frame_shards ~n m] cuts the mapping into at most [n] contiguous
     frame runs covering it exactly, using only the frame index — no event
-    decode. Every shard after the first starts at a cuttable frame (one
-    whose first record is a checkpoint) at-or-after its balanced boundary,
-    so like {!shards} a checkpoint-poor trace yields fewer shards.
-    Analyzing the shards independently and merging is bit-equivalent to
+    decode. This is the only shard cutter: a trace in any other format is
+    first streamed into a FORAYTR2 file. Every shard after the first
+    starts at a cuttable frame (one whose first record is a checkpoint)
+    at-or-after its balanced boundary, so a checkpoint-poor trace yields
+    fewer shards. Analyzing the shards independently and merging
+    ([Looptree.merge], [Tstats.merge]) is bit-equivalent to
     {!iter_mapped}.
     @raise Invalid_argument if [n < 1]. *)
 val frame_shards : n:int -> mapped -> fshard list
@@ -157,44 +163,3 @@ val read : ?strict:bool -> string -> Event.sink -> (salvage, corruption) result
 
 (** One-line summary of salvage statistics. *)
 val salvage_to_string : salvage -> string
-
-(** [read_events ?strict path] materializes the (salvaged) event stream of
-    [path] as an array, for random access — the form {!shards} partitions.
-    Same salvage policy as {!read}. *)
-val read_events :
-  ?strict:bool -> string -> (Event.event array * salvage, corruption) result
-
-(** {1 Sharding}
-
-    A stored trace can be analyzed in parallel by cutting it into
-    context-complete chunks: each shard knows the loop stack the
-    sequential analyzer would have at its first event, so a fresh
-    {!Foray_core.Looptree} walker (see [Looptree.restore_context]) resumes
-    exactly where the previous shard stops. Cuts are checkpoint-aligned —
-    a shard never starts in the middle of an access burst — and computed
-    by a single linear pre-pass of {!Loopwalk}, the walker the analyzers
-    themselves use, so a shard's context is {!Loopwalk.context} at its
-    cut. The v2 encoder stamps every frame header the same way.
-    For v2 files prefer {!frame_shards}, which gets the same guarantee
-    from the frame index without decoding events. *)
-
-type shard = {
-  s_index : int;  (** 0-based shard number, in trace order *)
-  s_start : int;  (** index of the shard's first event *)
-  s_len : int;  (** number of events in the shard *)
-  s_context : (int * int) list;
-      (** [(lid, iter)] loop stack at [s_start], outermost first: the
-          loops entered before this shard and still open, with their
-          current iteration counters (-1: entered, body not yet begun) *)
-}
-
-(** [shards ~n events] cuts a trace into at most [n] contiguous shards
-    covering it exactly ([s_start = 0] for the first; consecutive;
-    [s_len]s sum to the length). Every shard after the first begins at a
-    checkpoint event at-or-after its balanced boundary [i*total/n], so a
-    trace with few checkpoints yields fewer (larger) shards; [n = 1] or
-    an empty trace yields a single shard. Analyzing the shards
-    independently and merging ([Looptree.merge], [Tstats.merge]) is
-    bit-equivalent to the sequential pass.
-    @raise Invalid_argument if [n < 1]. *)
-val shards : n:int -> Event.event array -> shard list

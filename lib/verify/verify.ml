@@ -1,6 +1,10 @@
 module Model = Foray_core.Model
+module Pipeline = Foray_core.Pipeline
 module Event = Foray_trace.Event
 module Loopwalk = Foray_trace.Loopwalk
+module Interp = Minic_sim.Interp
+module Obs = Foray_obs.Obs
+module Span = Foray_obs.Span
 
 type counterexample = {
   cx_site : int;
@@ -219,6 +223,37 @@ let verify model events =
   get ()
 
 (* ------------------------------------------------------------------ *)
+(* Verification from source                                           *)
+
+let t_replay = Obs.timer "verify.replay"
+
+(* The simulator is deterministic for a given config, so the replay
+   reproduces the first pass event for event. A wall-clock deadline is
+   the one bound that is not: a deadline stop at step [n] becomes a step
+   bound that trips at the same tick ([tick] checks [max_steps] just
+   before the deadline). *)
+let replay_config (config : Interp.config) (sim : Interp.result) =
+  let config = { config with deadline_ms = None } in
+  match sim.stopped with
+  | Interp.Stopped { budget = "deadline_ms"; _ } ->
+      { config with max_steps = sim.steps - 1 }
+  | Interp.Stopped _ | Interp.Completed -> config
+
+let of_source ?(config = Interp.default_config) ?thresholds ?shards ?jobs
+    ?(edit = Fun.id) src =
+  Result.map
+    (fun (o : Pipeline.outcome) ->
+      let r = o.result in
+      let s, report = sink (edit r.model) in
+      Span.with_span ~cat:"verify" "verify.replay" (fun () ->
+          Obs.time t_replay (fun () ->
+              ignore
+                (Interp.run ~config:(replay_config config r.sim)
+                   r.instrumented ~sink:s)));
+      (o, report ()))
+    (Pipeline.run_source ~config ?thresholds ?shards ?jobs src)
+
+(* ------------------------------------------------------------------ *)
 (* Counterexample re-simulation                                       *)
 
 let predict_at (mref : Model.mref) ~base ~iters =
@@ -296,6 +331,10 @@ let report_to_string rep =
      access(es) covered\n"
     (List.length rep.refs) (proved rep) (unseen rep) (diverged rep)
     rep.covered rep.events;
+  Printf.bprintf buf
+    "model covers %d of %d accesses; prediction accuracy %.2f%%\n"
+    rep.covered (rep.covered + rep.uncovered)
+    (100.0 *. accuracy rep);
   Buffer.contents buf
 
 let report_to_json rep =

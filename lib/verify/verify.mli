@@ -102,6 +102,35 @@ val verify :
 val sink :
   Foray_core.Model.t -> Foray_trace.Event.sink * (unit -> report)
 
+(** {1 Verification from source}
+
+    No run is stored: the model is extracted online, then the program is
+    simulated once more straight into {!sink}. The simulator is
+    deterministic, so the second pass sees the first pass's stream. *)
+
+(** [replay_config config sim] is the config under which a re-run of the
+    program stops at the same event as the run that produced [sim] under
+    [config]: [config] without its deadline, and — when the deadline
+    stopped that run at step [n] — [max_steps = n - 1], which trips at the
+    same tick. *)
+val replay_config :
+  Minic_sim.Interp.config -> Minic_sim.Interp.result -> Minic_sim.Interp.config
+
+(** [of_source ?config ?thresholds ?shards ?jobs ?edit src] runs
+    {!Foray_core.Pipeline.run_source}, then re-simulates the instrumented
+    program under {!replay_config} into {!sink} over [edit model]
+    ([edit] defaults to the identity; [foraygen verify --perturb] damages
+    the model there). The replay is timed under the [verify.replay]
+    timer and span. Errors are the pipeline's. *)
+val of_source :
+  ?config:Minic_sim.Interp.config ->
+  ?thresholds:Foray_core.Filter.thresholds ->
+  ?shards:int ->
+  ?jobs:int ->
+  ?edit:(Foray_core.Model.t -> Foray_core.Model.t) ->
+  string ->
+  (Foray_core.Pipeline.outcome * report, Foray_core.Error.t) result
+
 (** {1 Counterexample re-simulation}
 
     A counterexample must be {e faithful}: re-evaluating the reference's
@@ -125,8 +154,9 @@ val verdict_name : verdict -> string
 val counterexample_to_string : counterexample -> string
 val counterexample_to_json : counterexample -> string
 
-(** One line per reference plus a summary tail; deterministic, so equal
-    reports render byte-identically. *)
+(** One line per reference plus a summary tail (reference counts, then
+    coverage and {!accuracy}); deterministic, so equal reports render
+    byte-identically. *)
 val report_to_string : report -> string
 
 (** JSON object: ["refs"] array (verdicts, expressions, counterexamples),

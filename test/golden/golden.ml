@@ -46,17 +46,12 @@ let verdicts thresholds tree =
 (* Extraction plus verification from source, through the product path:
    the outcome of the extraction and the report of the verifier. *)
 let verify_source ?config ~thresholds src =
-  let prog = Minic.Parser.program src in
-  let o, events = ok (Pipeline.run_offline ?config ~thresholds prog) in
-  (o, Verify.verify o.Pipeline.result.Pipeline.model events)
+  ok (Verify.of_source ?config ~thresholds src)
 
 (* The model and verdicts of a 4-shard analysis, as the CLI's
    [extract --shards 4] computes them. *)
 let sharded ~thresholds src =
-  let prog = Minic.Parser.program src in
-  let o, _ =
-    ok (Pipeline.run_offline ~thresholds ~shards:4 ~jobs:2 prog)
-  in
+  let o = ok (Pipeline.run_source ~thresholds ~shards:4 ~jobs:2 src) in
   let r = o.Pipeline.result in
   (Model.to_c r.Pipeline.model, verdicts thresholds r.Pipeline.tree)
 

@@ -168,7 +168,8 @@ let t_imported_log_analyzes () =
   in
   with_log log (fun path ->
       let events, _ = read_ok path in
-      let tree, _ = Foray_core.Pipeline.analyze_events events in
+      let tree = Foray_core.Looptree.create () in
+      Array.iter (Foray_core.Looptree.sink tree) events;
       let thresholds = Foray_core.Filter.{ nexec = 1; nloc = 1 } in
       let model = Foray_core.Model.of_tree ~thresholds tree in
       let coeffs =

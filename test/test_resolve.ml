@@ -12,10 +12,10 @@ let run_both ?(config = Interp.default_config) src =
   Minic.Sema.check_exn prog;
   let instrumented = Foray_instrument.Annotate.program prog in
   let resolved =
-    Interp.run_to_trace ~config:{ config with resolve = true } instrumented
+    Tutil.run_to_trace ~config:{ config with resolve = true } instrumented
   in
   let unresolved =
-    Interp.run_to_trace ~config:{ config with resolve = false } instrumented
+    Tutil.run_to_trace ~config:{ config with resolve = false } instrumented
   in
   (resolved, unresolved)
 

@@ -752,6 +752,34 @@ let with_trace_files program formats f =
 let parse_json s =
   match Json.parse s with Ok j -> j | Error e -> Alcotest.failf "JSON: %s" e
 
+(* The wire "jobs" field is outside input: above the hardware domain
+   count it is capped, like the CLI's -j. *)
+let t_wire_jobs_capped () =
+  let n = Parallel.default_jobs () + 2 in
+  let src =
+    (Foray_util.Progen.generate ~seed:3 ~nests:3).Foray_util.Progen.source
+  in
+  let _, events = Tutil.run_offline (Minic.Parser.program src) in
+  let tpath = Filename.temp_file "foray_serve_jobs" ".trace2" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove tpath with Sys_error _ -> ())
+    (fun () ->
+      Tracefile.save ~frame_events:4 ~format:Tracefile.Binary2 tpath events;
+      with_daemon (fun path ->
+          Foray_obs.Obs.reset ();
+          let c = Serve.Client.connect path in
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close c)
+            (fun () ->
+              let j =
+                Serve.Client.rpc c
+                  [ ("op", "\"analyze\""); ("trace", jstr tpath);
+                    ("shards", string_of_int n); ("jobs", string_of_int n);
+                    ("cache", "false") ]
+              in
+              Alcotest.(check string) "sharded analyze ok" "ok" (status j));
+          Tutil.check_domains_capped "wire analyze"))
+
 let t_analyze_trace_path () =
   (* analyze by "trace" path: the wire model is the local stored-trace
      analysis, on v1 and v2 files, sequential and sharded *)
@@ -1120,6 +1148,8 @@ let tests =
     Alcotest.test_case "spm op over the wire" `Quick t_spm_op;
     Alcotest.test_case "analyze by trace path, v1 and v2, sharded" `Quick
       t_analyze_trace_path;
+    Alcotest.test_case "wire jobs capped at the domain count" `Quick
+      t_wire_jobs_capped;
     Alcotest.test_case "verify by program, digest and trace path" `Quick
       t_verify_op;
     Alcotest.test_case "inline trace tree on spm and verify" `Quick

@@ -1,11 +1,13 @@
 (* Differential tests for sharded trace analysis.
 
-   The contract under test: for ANY trace and ANY shard count, cutting
-   the trace with Tracefile.shards, walking each shard with a mergeable
-   Looptree and folding Looptree.merge/Tstats.merge yields exactly the
-   sequential analysis — same generated C model byte-for-byte, same
-   Step-4 verdicts, same footprint statistics. The properties run over
-   the random ground-truth generator, over fault-injected (salvaged)
+   The contract under test: for ANY trace and ANY shard count, writing
+   the trace as FORAYTR2, cutting it by its frame index
+   (Tracefile.frame_shards), walking each shard with a mergeable Looptree
+   and folding Looptree.merge/Tstats.merge yields exactly the sequential
+   analysis — same generated C model byte-for-byte, same Step-4 verdicts,
+   same footprint statistics. The traces are written with small frames,
+   so that nearly every checkpoint is a cut point. The properties run
+   over the random ground-truth generator, over fault-injected (salvaged)
    traces, and over hand-written programs whose loops are abandoned by
    break/continue/return, with shard boundaries swept across the trace. *)
 
@@ -20,10 +22,9 @@ module FI = Foray_util.Faultinject
 
 let trace_of_source src =
   let prog = Minic.Parser.program src in
-  match Pipeline.run_offline prog with
-  | Ok (_, trace) -> Array.of_list trace
-  | Error e ->
-      Alcotest.failf "trace generation failed: %s" (Error.to_string e)
+  Minic.Sema.check_exn prog;
+  let _, trace = Tutil.run_to_trace (Foray_instrument.Annotate.program prog) in
+  Array.of_list trace
 
 (* Everything observable about one analysis: the generated C model, the
    Step-4 verdict of every reference keyed by (loop path, site), and the
@@ -52,21 +53,27 @@ let digest_of (tree, stats) =
     sites = Tstats.n_sites stats;
   }
 
-let analyze ?shards events = digest_of (Pipeline.analyze_events ?shards events)
+(* The reference: one sequential walker over the whole stream. *)
+let analyze_seq events =
+  let tree = Looptree.create () in
+  let tstats = Tstats.create () in
+  Array.iter (Event.tee (Looptree.sink tree) (Tstats.sink tstats)) events;
+  digest_of (tree, tstats)
 
-let check_equiv ~what ~shards events =
-  let seq = analyze events in
-  let shd = analyze ~shards events in
-  if seq <> shd then
-    Alcotest.failf
-      "%s: %d-shard analysis diverged from sequential\n\
-       models equal: %b  verdicts equal: %b  accesses %d/%d  footprint \
-       %d/%d  sites %d/%d"
-      what shards
-      (String.equal seq.model shd.model)
-      (seq.verdicts = shd.verdicts)
-      seq.accesses shd.accesses seq.footprint shd.footprint seq.sites
-      shd.sites
+(* Write the events as a FORAYTR2 file and hand [k] its mapping. A frame
+   flushes at the first checkpoint once it holds [frame_events] events,
+   so small values put a cut point at nearly every checkpoint. *)
+let with_v2_file ?(frame_events = 4) events k =
+  let path = Filename.temp_file "foray_shard" ".trace2" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Tracefile.save ~frame_events ~format:Tracefile.Binary2 path
+        (Array.to_list events);
+      k (Tracefile.map path))
+
+let analyze_mapped ?shards m = digest_of (Pipeline.analyze_mapped ?shards m)
+let analyze ~shards events = with_v2_file events (analyze_mapped ~shards)
 
 (* --- the differential property over generated programs --------------- *)
 
@@ -85,13 +92,16 @@ let prop_differential =
     ~count:200 ~print:print_case gen_case (fun (seed, nests, shards) ->
       let g = Generator.generate ~seed ~nests in
       let events = trace_of_source g.source in
-      analyze events = analyze ~shards events)
+      analyze_seq events = analyze ~shards events)
 
 (* --- salvage composition --------------------------------------------- *)
 
 (* Sharding partitions whatever event stream salvage produced, so a
    damaged trace must shard to the same result as its sequential salvage
-   read. Mutations are deterministic in the seed (Foray_util.Prng). *)
+   read — both when the salvaged stream is cut by small frames and when
+   Pipeline.analyze_trace streams the damaged file into its own
+   temporary FORAYTR2 file. Mutations are deterministic in the seed
+   (Foray_util.Prng). *)
 let prop_salvage =
   let open QCheck2.Gen in
   let gen =
@@ -120,11 +130,26 @@ let prop_salvage =
       let oc = open_out_bin path in
       output_string oc mutated;
       close_out oc;
-      let read = Tracefile.read_events path in
+      let sink, salvaged = Event.collector () in
+      let read = Tracefile.read path sink in
+      let product =
+        Result.map (fun (r, _) -> digest_of r)
+          (Pipeline.analyze_trace ~shards path)
+      in
       Sys.remove path;
       match read with
       | Error _ -> true (* typed rejection: nothing to shard *)
-      | Ok (salvaged, _) -> analyze salvaged = analyze ~shards salvaged)
+      | Ok _ -> (
+          let salvaged = Array.of_list (salvaged ()) in
+          let seq = analyze_seq salvaged in
+          product = Ok seq
+          &&
+          match analyze ~shards salvaged with
+          | frames -> frames = seq
+          | exception Invalid_argument _ ->
+              (* garbage addresses beyond FORAYTR2's delta range: no frame
+                 file exists to cut, and analyze_trace walked it whole *)
+              true))
 
 (* --- merge algebra ---------------------------------------------------- *)
 
@@ -204,13 +229,10 @@ let prop_affine_merge_identity =
 (* Looptree.merge associativity on real shard trees: cut a generated
    trace three ways, build the per-shard trees twice, fold in both
    association orders and compare the resulting models. *)
-let shard_tree events (s : Tracefile.shard) =
+let shard_tree m (fs : Tracefile.fshard) =
   let tree = Looptree.create ~mergeable:true () in
-  Looptree.restore_context tree s.s_context;
-  let sink = Looptree.sink tree in
-  for i = s.s_start to s.s_start + s.s_len - 1 do
-    sink events.(i)
-  done;
+  Looptree.restore_context tree fs.fs_context;
+  Tracefile.iter_fshard m fs (Looptree.sink tree);
   tree
 
 let tree_digest tree =
@@ -228,30 +250,32 @@ let t_looptree_merge_assoc () =
   for seed = 1 to 10 do
     let g = Generator.generate ~seed ~nests:3 in
     let events = trace_of_source g.source in
-    match Tracefile.shards ~n:3 events with
-    | [ _; _; _ ] as ss ->
-        let build () =
-          match List.map (shard_tree events) ss with
-          | [ a; b; c ] -> (a, b, c)
-          | _ -> assert false
-        in
-        let a, b, c = build () in
-        let left = Looptree.merge (Looptree.merge a b) c in
-        let a, b, c = build () in
-        let right = Looptree.merge a (Looptree.merge b c) in
-        if tree_digest left <> tree_digest right then
-          Alcotest.failf "seed %d: merge association order changed the model"
-            seed
-    | _ -> () (* checkpoint-poor trace: fewer than 3 shards, nothing to test *)
+    with_v2_file events (fun m ->
+        match Tracefile.frame_shards ~n:3 m with
+        | [ _; _; _ ] as ss ->
+            let build () =
+              match List.map (shard_tree m) ss with
+              | [ a; b; c ] -> (a, b, c)
+              | _ -> assert false
+            in
+            let a, b, c = build () in
+            let left = Looptree.merge (Looptree.merge a b) c in
+            let a, b, c = build () in
+            let right = Looptree.merge a (Looptree.merge b c) in
+            if tree_digest left <> tree_digest right then
+              Alcotest.failf
+                "seed %d: merge association order changed the model" seed
+        | _ ->
+            Alcotest.failf "seed %d: expected three frame shards" seed)
   done
 
 let t_looptree_merge_identity () =
   let g = Generator.generate ~seed:11 ~nests:2 in
   let events = trace_of_source g.source in
   let whole events =
-    shard_tree events
-      { Tracefile.s_index = 0; s_start = 0; s_len = Array.length events;
-        s_context = [] }
+    let tree = Looptree.create ~mergeable:true () in
+    Array.iter (Looptree.sink tree) events;
+    tree
   in
   let plain = tree_digest (whole events) in
   let left =
@@ -334,67 +358,89 @@ let t_boundary_sweep () =
   List.iter
     (fun (what, src) ->
       let events = trace_of_source src in
-      let seq = analyze events in
-      for n = 2 to 40 do
-        let shd = analyze ~shards:n events in
-        if seq <> shd then
-          Alcotest.failf "%s: shard count %d diverged from sequential" what n
-      done)
+      let seq = analyze_seq events in
+      with_v2_file events (fun m ->
+          for n = 2 to 40 do
+            if seq <> analyze_mapped ~shards:n m then
+              Alcotest.failf "%s: shard count %d diverged from sequential"
+                what n
+          done))
     [
       ("break mid-loop", src_break);
       ("continue mid-loop", src_continue);
       ("return mid-loop", src_return);
     ]
 
-(* Every distinct cut Tracefile.shards can produce for n=2 on the break
-   trace — near-exhaustive 2-shard boundary placement. Distinct n give
-   distinct balanced boundaries, so sweeping n while forcing 2 shards by
-   re-cutting the prefix is equivalent to moving the single cut. *)
+(* Two-shard boundary placement on the break trace. With one-event
+   frames every checkpoint opens a frame, so every checkpoint is a
+   candidate cut.
+   - Through the product path: distinct n give distinct balanced
+     boundaries, so sweeping n moves Pipeline.analyze_mapped's first cut
+     across the trace. The event-array cutter this replaced reached 24
+     distinct positions here.
+   - Exhaustively: the finest frame cut, regrouped into exactly two
+     shards at each of its boundaries, each shard walked from its
+     restored context and the two merged. *)
 let t_two_shard_cuts () =
   let events = trace_of_source src_break in
-  let seq = analyze events in
+  let seq = analyze_seq events in
   let seen = Hashtbl.create 64 in
-  for n = 2 to Array.length events do
-    match Tracefile.shards ~n events with
-    | first :: _ when first.Tracefile.s_len < Array.length events ->
-        let cut = first.Tracefile.s_len in
-        if not (Hashtbl.mem seen cut) then begin
-          Hashtbl.add seen cut ();
-          (* rebuild as exactly two shards cut at [cut] via the n-shard
-             list: merge the per-shard trees pairwise left-to-right *)
-          let shd = analyze ~shards:n events in
-          if seq <> shd then
-            Alcotest.failf "cut at event %d (n=%d) diverged" cut n
-        end
-    | _ -> ()
-  done;
-  if Hashtbl.length seen < 4 then
-    Alcotest.failf "expected several distinct cut positions, got %d"
+  with_v2_file ~frame_events:1 events (fun m ->
+      for n = 2 to Array.length events do
+        match Tracefile.frame_shards ~n m with
+        | first :: _ :: _ ->
+            let cut = first.Tracefile.fs_events in
+            if not (Hashtbl.mem seen cut) then begin
+              Hashtbl.add seen cut ();
+              if seq <> analyze_mapped ~shards:n m then
+                Alcotest.failf "cut at event %d (n=%d) diverged" cut n
+            end
+        | _ -> ()
+      done;
+      let finest = Tracefile.frame_shards ~n:(Array.length events) m in
+      let join index = function
+        | (first : Tracefile.fshard) :: _ as fss ->
+            let sum f = List.fold_left (fun a fs -> a + f fs) 0 fss in
+            { first with
+              fs_index = index;
+              fs_frames = sum (fun fs -> fs.Tracefile.fs_frames);
+              fs_events = sum (fun fs -> fs.Tracefile.fs_events) }
+        | [] -> assert false
+      in
+      let walk fs =
+        let tree = Looptree.create ~mergeable:true () in
+        let tstats = Tstats.create () in
+        Looptree.restore_context tree fs.Tracefile.fs_context;
+        Tracefile.iter_fshard m fs
+          (Event.tee (Looptree.sink tree) (Tstats.sink tstats));
+        (tree, tstats)
+      in
+      for k = 1 to List.length finest - 1 do
+        let t1, s1 = walk (join 0 (List.filteri (fun i _ -> i < k) finest)) in
+        let t2, s2 = walk (join 1 (List.filteri (fun i _ -> i >= k) finest)) in
+        let tree = Looptree.merge t1 t2 in
+        Looptree.finalize tree;
+        if seq <> digest_of (tree, Tstats.merge s1 s2) then
+          Alcotest.failf "two shards cut at frame shard %d diverged" k
+      done;
+      if List.length finest < 100 then
+        Alcotest.failf "expected a cut at nearly every checkpoint, got %d"
+          (List.length finest - 1));
+  if Hashtbl.length seen < 24 then
+    Alcotest.failf "expected at least 24 distinct cut positions, got %d"
       (Hashtbl.length seen)
 
 (* --- v2 mapped analysis ------------------------------------------------ *)
 
-(* The zero-copy path must agree with everything else: write the same
-   events as a FORAYTR2 file (with a small frame budget so cut points
-   exist), analyze the mapping sharded, compare digests with the
-   sequential in-memory walk. *)
-let with_v2_file events k =
-  let path = Filename.temp_file "foray_shard" ".trace2" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Tracefile.save ~frame_events:32 ~format:Tracefile.Binary2 path
-        (Array.to_list events);
-      k (Tracefile.map path))
-
-let analyze_mapped ?shards m = digest_of (Pipeline.analyze_mapped ?shards m)
-
+(* The zero-copy path at a coarser frame budget: analyze the mapping at
+   several shard counts and compare digests with the sequential
+   in-memory walk. *)
 let t_mapped_equals_sequential () =
   List.iter
     (fun (what, src) ->
       let events = trace_of_source src in
-      let seq = analyze events in
-      with_v2_file events (fun m ->
+      let seq = analyze_seq events in
+      with_v2_file ~frame_events:32 events (fun m ->
           List.iter
             (fun n ->
               if seq <> analyze_mapped ~shards:n m then
@@ -413,12 +459,13 @@ let prop_mapped_differential =
     ~print:print_case gen_case (fun (seed, nests, shards) ->
       let g = Generator.generate ~seed ~nests in
       let events = trace_of_source g.source in
-      let seq = analyze events in
-      with_v2_file events (fun m -> seq = analyze_mapped ~shards m))
+      let seq = analyze_seq events in
+      with_v2_file ~frame_events:32 events (fun m ->
+          seq = analyze_mapped ~shards m))
 
 let t_frame_shards_partition () =
   let events = trace_of_source src_break in
-  with_v2_file events (fun m ->
+  with_v2_file ~frame_events:32 events (fun m ->
       List.iter
         (fun n ->
           let fss = Tracefile.frame_shards ~n m in
@@ -436,42 +483,77 @@ let t_merge_all_equals_fold () =
   for seed = 1 to 5 do
     let g = Generator.generate ~seed ~nests:3 in
     let events = trace_of_source g.source in
-    let ss = Tracefile.shards ~n:5 events in
-    if List.length ss > 1 then begin
-      let build () = List.map (shard_tree events) ss in
-      let folded =
-        match build () with
-        | t :: ts -> List.fold_left Looptree.merge t ts
-        | [] -> assert false
-      in
-      let treed = Looptree.merge_all ~jobs:2 (build ()) in
-      if tree_digest folded <> tree_digest treed then
-        Alcotest.failf "seed %d: merge_all diverged from the left fold" seed
-    end
+    with_v2_file events (fun m ->
+        let ss = Tracefile.frame_shards ~n:5 m in
+        if List.length ss < 5 then
+          Alcotest.failf "seed %d: expected five frame shards" seed;
+        let build () = List.map (shard_tree m) ss in
+        let folded =
+          match build () with
+          | t :: ts -> List.fold_left Looptree.merge t ts
+          | [] -> assert false
+        in
+        let treed = Looptree.merge_all ~jobs:2 (build ()) in
+        if tree_digest folded <> tree_digest treed then
+          Alcotest.failf "seed %d: merge_all diverged from the left fold"
+            seed)
   done
+
+(* An explicit [jobs] above the hardware domain count is capped: more
+   domains than CPUs only add minor-GC synchronization. *)
+let t_jobs_capped () =
+  let n = Foray_util.Parallel.default_jobs () + 2 in
+  let g = Generator.generate ~seed:3 ~nests:3 in
+  let events = trace_of_source g.source in
+  with_v2_file events (fun m ->
+      if List.length (Tracefile.frame_shards ~n m) < n then
+        Alcotest.failf "expected %d frame shards" n;
+      Foray_obs.Obs.reset ();
+      Foray_obs.Obs.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> Foray_obs.Obs.set_enabled false)
+        (fun () -> ignore (Pipeline.analyze_mapped ~shards:n ~jobs:n m)));
+  Tutil.check_domains_capped "analyze_mapped"
 
 (* --- shard partition sanity ------------------------------------------ *)
 
+(* Frame shards are contiguous, cover the trace exactly, start at a
+   checkpoint, and carry the loop stack the sequential walker holds at
+   their first event. *)
 let t_shards_partition () =
   let events = trace_of_source src_break in
   let total = Array.length events in
-  List.iter
-    (fun n ->
-      let ss = Tracefile.shards ~n events in
-      assert (List.length ss <= n);
-      let sum = List.fold_left (fun a s -> a + s.Tracefile.s_len) 0 ss in
-      Alcotest.(check int) "covers exactly" total sum;
-      ignore
-        (List.fold_left
-           (fun expect (s : Tracefile.shard) ->
-             Alcotest.(check int) "contiguous" expect s.s_start;
-             if s.s_start > 0 then
-               (match events.(s.s_start) with
-               | Event.Checkpoint _ -> ()
-               | _ -> Alcotest.fail "shard start is not checkpoint-aligned");
-             s.s_start + s.s_len)
-           0 ss))
-    [ 1; 2; 3; 7; 64; 1000 ]
+  let contexts = Array.make (total + 1) [] in
+  let w = Foray_trace.Loopwalk.create () in
+  Array.iteri
+    (fun i e ->
+      contexts.(i) <- Foray_trace.Loopwalk.context w;
+      Foray_trace.Loopwalk.sink w e)
+    events;
+  with_v2_file ~frame_events:1 events (fun m ->
+      List.iter
+        (fun n ->
+          let ss = Tracefile.frame_shards ~n m in
+          assert (List.length ss <= n);
+          let sum =
+            List.fold_left (fun a (fs : Tracefile.fshard) -> a + fs.fs_events) 0 ss
+          in
+          Alcotest.(check int) "covers exactly" total sum;
+          ignore
+            (List.fold_left
+               (fun (frame, start) (fs : Tracefile.fshard) ->
+                 Alcotest.(check int) "contiguous" frame fs.fs_frame;
+                 if start > 0 then begin
+                   (match events.(start) with
+                   | Event.Checkpoint _ -> ()
+                   | _ -> Alcotest.fail "shard start is not checkpoint-aligned");
+                   if fs.fs_context <> contexts.(start) then
+                     Alcotest.failf "shard %d: context differs from the walk"
+                       fs.fs_index
+                 end;
+                 (fs.fs_frame + fs.fs_frames, start + fs.fs_events))
+               (0, 0) ss))
+        [ 1; 2; 3; 7; 64; 1000 ])
 
 let tests =
   [
@@ -490,6 +572,8 @@ let tests =
       t_frame_shards_partition;
     Alcotest.test_case "merge_all = left fold of merge" `Quick
       t_merge_all_equals_fold;
+    Alcotest.test_case "explicit jobs capped at the domain count" `Quick
+      t_jobs_capped;
     QCheck_alcotest.to_alcotest prop_differential;
     QCheck_alcotest.to_alcotest prop_mapped_differential;
     QCheck_alcotest.to_alcotest prop_salvage;

@@ -16,10 +16,7 @@ module Tracefile = Foray_trace.Tracefile
 
 let th nexec nloc = Filter.{ nexec; nloc }
 
-let run_offline ?(thresholds = Filter.default) ?shards ?jobs prog =
-  match Pipeline.run_offline ~thresholds ?shards ?jobs prog with
-  | Ok (o, trace) -> (o.Pipeline.result, trace)
-  | Error e -> Alcotest.failf "pipeline error: %s" (Error.to_string e)
+let run_offline = Tutil.run_offline
 
 let verify_source ?thresholds ?shards src =
   let prog = Minic.Parser.program src in
@@ -58,8 +55,9 @@ let roundtrip format events =
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
       Tracefile.with_sink ~format tmp (fun sink -> List.iter sink events);
-      match Tracefile.read_events tmp with
-      | Ok (arr, _) -> Array.to_list arr
+      let sink, back = Foray_trace.Event.collector () in
+      match Tracefile.read tmp sink with
+      | Ok _ -> back ()
       | Error _ -> Alcotest.fail "trace roundtrip failed")
 
 (* The fidelity counts the verifier reports beside its verdicts: a proved
@@ -466,6 +464,123 @@ let prop_campaign_perturbed =
            counterexamples"
     ~count:60 ~print:print_perturbed gen_perturbed campaign_perturbed_case
 
+(* --- verification from source: the replay stops where extraction did -- *)
+
+module Interp = Minic_sim.Interp
+
+let progen_source seed =
+  (Progen.generate ~seed ~nests:2).Progen.source
+
+let instrumented_of src =
+  let prog = Minic.Parser.program src in
+  Minic.Sema.check_exn prog;
+  Foray_instrument.Annotate.program prog
+
+let budget_of (sim : Interp.result) =
+  match sim.stopped with
+  | Interp.Completed -> "completed"
+  | Interp.Stopped b -> b.Interp.budget
+
+(* The first pass under [config], then a re-run under the bound the
+   verifier derives from it: the two event streams must be identical.
+   Returns both runs' results. (Their step counts agree except at a
+   deadline stop at admission: the replay's bound trips inside the first
+   tick, which has already counted step 1.) *)
+let check_replay_aligned ~what config instrumented =
+  let sim, first = Tutil.run_to_trace ~config instrumented in
+  let sim', replay =
+    Tutil.run_to_trace ~config:(Verify.replay_config config sim) instrumented
+  in
+  if first <> replay then
+    Alcotest.failf "%s: replay stream differs (%d vs %d events)" what
+      (List.length first) (List.length replay);
+  Alcotest.(check int) (what ^ ": accesses") sim.accesses sim'.accesses;
+  (sim, sim')
+
+let with_budget ?steps ?events ?deadline () =
+  {
+    Interp.default_config with
+    max_steps = Option.value steps ~default:Interp.default_config.max_steps;
+    max_trace_events = events;
+    deadline_ms = deadline;
+  }
+
+let t_replay_stops_aligned () =
+  for seed = 1 to 6 do
+    let instrumented = instrumented_of (progen_source seed) in
+    let full, trace = Tutil.run_to_trace instrumented in
+    let n = List.length trace in
+    List.iter
+      (fun (what, config, budget) ->
+        let what = Printf.sprintf "seed %d, %s" seed what in
+        let sim, _ = check_replay_aligned ~what config instrumented in
+        Alcotest.(check string) (what ^ ": stopped by") budget (budget_of sim))
+      [
+        ("no budget", Interp.default_config, "completed");
+        ("max_steps", with_budget ~steps:(full.steps / 2) (), "max_steps");
+        ("max_trace_events", with_budget ~events:(n / 2) (), "max_trace_events");
+        ("deadline at admission", with_budget ~deadline:0 (), "deadline_ms");
+      ]
+  done
+
+(* A deadline that trips at a periodic check: the Progen program's main
+   runs forever, so only the wall clock stops it, at a step the replay
+   must reach exactly. A run delayed past its deadline before the first
+   statement stops at admission instead; that is retried. *)
+let t_replay_deadline_periodic () =
+  let src =
+    Str.global_replace (Str.regexp_string "int main() {") "int body() {"
+      (progen_source 4)
+    ^ "\nint main() {\n  while (1) { body(); }\n  return 0;\n}\n"
+  in
+  let instrumented = instrumented_of src in
+  let rec attempt k =
+    let what = Printf.sprintf "periodic deadline, attempt %d" k in
+    let sim, sim' =
+      check_replay_aligned ~what (with_budget ~deadline:2 ()) instrumented
+    in
+    Alcotest.(check string) (what ^ ": stopped by") "deadline_ms"
+      (budget_of sim);
+    if sim.steps > 0 then
+      Alcotest.(check int) (what ^ ": steps") sim.steps sim'.steps
+    else
+      if k < 10 then attempt (k + 1)
+      else Alcotest.fail "every run stopped at admission"
+  in
+  attempt 1
+
+(* The report from [Verify.of_source] equals [Verify.verify] over the
+   first pass's collected events. *)
+let t_of_source_equals_collected () =
+  for seed = 1 to 6 do
+    let src = progen_source seed in
+    let full, trace = Tutil.run_to_trace (instrumented_of src) in
+    List.iter
+      (fun (what, config) ->
+        let o, rep =
+          match Verify.of_source ~config src with
+          | Ok x -> x
+          | Error e -> Tutil.fail_error e
+        in
+        let r, events =
+          Tutil.run_offline ~config (Minic.Parser.program src)
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d, %s: model" seed what)
+          (Model.to_c r.Pipeline.model)
+          (Model.to_c o.Pipeline.result.Pipeline.model);
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d, %s: report" seed what)
+          (Verify.report_to_json (Verify.verify r.Pipeline.model events))
+          (Verify.report_to_json rep))
+      [
+        ("no budget", Interp.default_config);
+        ("max_steps", with_budget ~steps:(full.steps / 2) ());
+        ("max_trace_events", with_budget ~events:(List.length trace / 2) ());
+        ("deadline at admission", with_budget ~deadline:0 ());
+      ]
+  done
+
 let tests =
   [
     Alcotest.test_case "fig4a proves" `Quick t_fig4a_proves;
@@ -486,6 +601,12 @@ let tests =
       t_perturbed_model_diverges;
     Alcotest.test_case "counterexample rendering" `Quick
       t_counterexample_renders;
-    QCheck_alcotest.to_alcotest prop_campaign;
+    Alcotest.test_case "replay stops where the first pass stopped" `Quick
+      t_replay_stops_aligned;
+    Alcotest.test_case "replay aligned after a periodic deadline" `Quick
+      t_replay_deadline_periodic;
+    Alcotest.test_case "of_source = verify over the collected run" `Quick
+      t_of_source_equals_collected;
+QCheck_alcotest.to_alcotest prop_campaign;
     QCheck_alcotest.to_alcotest prop_campaign_perturbed;
   ]
