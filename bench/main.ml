@@ -824,27 +824,6 @@ let measure_spm () =
     fz_wall_s = fz.wall_s;
   }
 
-(* Serving measurement (schema 6): a private forayd on a temp socket
-   driven by the load generator — 4 concurrent clients over a mixed
-   analyze/extract workload, plus the cold/warm cache probe on jpeg (the
-   largest benchmark, so the cached-speedup headline is the one that
-   matters). Runs after measure_interp's Obs.reset, so the hit/miss
-   totals read back over the wire start from zero. *)
-let measure_serve () =
-  let module Serve = Foray_serve.Serve in
-  let path = Serve.temp_socket_path () in
-  let srv = Serve.start (Serve.default_config ~socket_path:path) in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Serve.Client.shutdown path with _ -> ());
-      Serve.wait srv;
-      Obs.set_enabled false)
-    (fun () ->
-      Serve.bench ~socket:path ~clients:4
-        ~requests:(if !quick then 5 else 25)
-        ~programs:[ "adpcm"; "gsm"; "fft"; "fig4a" ]
-        ~cold_program:"jpeg")
-
 type verify_perf = {
   vname : string;
   v_refs : int;
@@ -895,21 +874,21 @@ let measure_verify () =
       })
     Suite.all
 
-let write_json ~path ~section_times ~pipelines ~shard ~interp ~serve ~spm
-    ~verify ~total =
+let write_json ~path ~section_times ~pipelines ~shard ~interp ~spm ~verify
+    ~total =
   let resolved, unresolved, with_metrics, with_tracing = interp in
   let b = Buffer.create 4096 in
   let add fmt = Printf.bprintf b fmt in
   add "{\n";
-  add "  \"schema\": 8,\n";
   add "  \"meta\": {\n";
-  add "    \"schema_version\": 8,\n";
+  add "    \"schema_version\": 9,\n";
   add "    \"generated_by\": \"bench/main.exe --json\",\n";
   add "    \"benchmark_set\": [%s],\n"
     (String.concat ", "
        (List.map (fun (b : Suite.bench) -> Printf.sprintf "%S" b.name)
           Suite.all));
   add "    \"jobs\": %d,\n" !jobs;
+  add "    \"cpus\": %d,\n" (Domain.recommended_domain_count ());
   add "    \"quick\": %b,\n" !quick;
   add "    \"obs_overhead_pct\": %.2f,\n"
     (100.0 *. (resolved -. with_metrics) /. resolved);
@@ -918,9 +897,6 @@ let write_json ~path ~section_times ~pipelines ~shard ~interp ~serve ~spm
   add "    \"degraded_runs\": %d\n"
     (List.length (List.filter (fun p -> p.degraded) pipelines));
   add "  },\n";
-  add "  \"generated_by\": \"bench/main.exe --json\",\n";
-  add "  \"jobs\": %d,\n" !jobs;
-  add "  \"quick\": %b,\n" !quick;
   add "  \"interp\": {\n";
   add "    \"benchmark\": \"jpeg\",\n";
   add "    \"steps_per_sec\": %.0f,\n" resolved;
@@ -969,10 +945,6 @@ let write_json ~path ~section_times ~pipelines ~shard ~interp ~serve ~spm
      else 0.0);
   add "    \"emit_events_per_sec\": %.0f\n" shard.emit_eps;
   add "  },\n";
-  (* Schema 5: the forayd serving record — concurrent mixed traffic
-     against the daemon, latency percentiles, cache totals and the
-     cold-vs-warm (cached) speedup on jpeg. *)
-  add "  \"serve\": %s,\n" (Foray_serve.Serve.bench_result_to_json serve);
   (* Schema 7: the stochastic-DSE record — serial throughput and
      optimality gap of the seeded default search on jpeg@4KiB, the
      single-chain time-to-within-1%-of-optimal, the restart-ensemble
@@ -1115,11 +1087,10 @@ let () =
     (* before measure_interp, whose Obs.reset scopes the metrics dump *)
     let verify = measure_verify () in
     let interp = measure_interp ~reps:(if !quick then 3 else 5) in
-    let serve = measure_serve () in
     let spm = measure_spm () in
     let section_times = List.map (fun (n, _, dt) -> (n, dt)) rendered in
     write_json ~path:!json_file ~section_times ~pipelines ~shard ~interp
-      ~serve ~spm ~verify ~total:(now () -. t0)
+      ~spm ~verify ~total:(now () -. t0)
   end;
   if not !quick then begin
     let b = Buffer.create 256 in

@@ -10,10 +10,7 @@
      verify    - per-reference model-replay verdicts with counterexamples
      metrics   - run the full flow with counters on, print/check them
      explain   - per-reference Algorithm-3 inference timelines
-     tracecheck - validate an exported Chrome trace file
-     faults    - fault-injection campaign over a program's trace
      serve     - forayd: concurrent analysis daemon with a model cache
-     serve-bench - load-generate against forayd, report latency/cache
      top       - live dashboard over a running forayd's metrics op
 
    Exit codes follow the documented contract (README "Exit and error
@@ -256,13 +253,18 @@ let run_pipeline src ~nexec ~nloc ~scalars =
    [shards > 1] the stream is analyzed in parallel and merged — same
    model, bit for bit. FORAYTR2 files take the zero-copy mapped path
    (Pipeline.analyze_trace decides). *)
-let analyze_trace_file ~strict ~json ~nexec ~nloc ?(shards = 1) ?jobs path =
-  match Foray_core.Pipeline.analyze_trace ~strict ~shards ?jobs path with
-  | Error c -> fail_error ~json (Foray_core.Pipeline.error_of_corruption c)
-  | Ok ((tree, _tstats), salvage) ->
+let model_of_trace_file ~strict ~nexec ~nloc ?(shards = 1) ?jobs path =
+  Result.map
+    (fun ((tree, _tstats), salvage) ->
       Foray_core.Looptree.flush_metrics tree;
       let thresholds = Foray_core.Filter.{ nexec; nloc } in
-      let model = Foray_core.Model.of_tree ~thresholds tree in
+      (Foray_core.Model.of_tree ~thresholds tree, salvage))
+    (Foray_core.Pipeline.analyze_trace ~strict ~shards ?jobs path)
+
+let analyze_trace_file ~strict ~json ~nexec ~nloc ?shards ?jobs path =
+  match model_of_trace_file ~strict ~nexec ~nloc ?shards ?jobs path with
+  | Error c -> fail_error ~json (Foray_core.Pipeline.error_of_corruption c)
+  | Ok (model, salvage) ->
       print_string (Foray_core.Model.to_c model);
       finish_degraded ~json (Foray_core.Pipeline.salvage_degradations salvage)
 
@@ -941,18 +943,12 @@ let metrics_cmd =
         | Ok src ->
         Obs.reset ();
         Obs.set_enabled true;
+        (* the path [analyze <program>] takes, model printing aside *)
         with_simulated_trace ~scalars src (fun tmp ->
-            let tree = Foray_core.Looptree.create () in
-            let tstats = Foray_trace.Tstats.create () in
-            let sink =
-              Foray_trace.Event.tee
-                (Foray_core.Looptree.sink tree)
-                (Foray_trace.Tstats.sink tstats)
-            in
-            Foray_trace.Tracefile.iter tmp sink;
-            Foray_core.Looptree.flush_metrics tree;
-            let thresholds = Foray_core.Filter.{ nexec; nloc } in
-            ignore (Foray_core.Model.of_tree ~thresholds tree));
+            match model_of_trace_file ~strict:false ~nexec ~nloc tmp with
+            | Ok _ -> ()
+            | Error c ->
+                Ferr.raise_error (Foray_core.Pipeline.error_of_corruption c));
         Obs.set_enabled false;
         if openmetrics then print_string (Obs.to_openmetrics ())
         else print_string (Obs.to_table ());
@@ -1080,142 +1076,6 @@ let explain_cmd =
     Term.(
       const run $ prog_arg $ nexec_arg $ nloc_arg $ ref_arg $ json_arg)
 
-(* ---- tracecheck ------------------------------------------------------ *)
-
-let tracecheck_cmd =
-  let run path =
-    match Span.validate_chrome_file path with
-    | Ok n ->
-        Printf.printf "%s: OK (%d trace event(s), spans well-nested)\n" path n;
-        0
-    | Error e ->
-        Printf.eprintf "%s: INVALID: %s\n" path e;
-        1
-  in
-  let path_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Chrome trace JSON written by --trace-out.")
-  in
-  Cmd.v
-    (Cmd.info "tracecheck"
-       ~doc:
-         "Validate an exported Chrome trace file: JSON shape and per-track \
-          span nesting")
-    Term.(const run $ path_arg)
-
-(* ---- faults ---------------------------------------------------------- *)
-
-let faults_cmd =
-  let module FI = Foray_util.Faultinject in
-  let run prog runs seed format json =
-    guard ~json (fun () ->
-        match load_source prog with
-        | Error e -> fail_error ~json e
-        | Ok src ->
-            let p = Minic.Parser.program src in
-            Minic.Sema.check_exn p;
-            let instrumented = Foray_instrument.Annotate.program p in
-            let tmp = Filename.temp_file "foraygen-fault" ".trace" in
-            Fun.protect
-              ~finally:(fun () ->
-                try Sys.remove tmp with Sys_error _ -> ())
-              (fun () ->
-                Foray_trace.Tracefile.with_sink ~format tmp (fun sink ->
-                    ignore (Minic_sim.Interp.run instrumented ~sink));
-                let bytes =
-                  In_channel.with_open_bin tmp In_channel.input_all
-                in
-                let thresholds = Foray_core.Filter.default in
-                (* Feed one mutated trace through the offline analyzers:
-                   salvage read, loop-tree reconstruction, model build. *)
-                let analyze_mutant mutant =
-                  Out_channel.with_open_bin tmp (fun oc ->
-                      Out_channel.output_string oc mutant);
-                  let tree = Foray_core.Looptree.create () in
-                  match
-                    Foray_trace.Tracefile.read tmp
-                      (Foray_core.Looptree.sink tree)
-                  with
-                  | Error _ -> FI.Typed_failure
-                  | Ok s ->
-                      Foray_core.Looptree.flush_metrics tree;
-                      ignore (Foray_core.Model.of_tree ~thresholds tree);
-                      if s.resyncs = 0 && not s.truncated_tail then FI.Clean
-                      else FI.Degraded
-                in
-                (* Stall models a wedged producer, not damaged bytes: run
-                   the live pipeline under a tiny step budget and require a
-                   clean degraded stop. *)
-                let stalled_producer () =
-                  let config =
-                    { Minic_sim.Interp.default_config with max_steps = 64 }
-                  in
-                  match Foray_core.Pipeline.run ~config p with
-                  | Ok { degraded = []; _ } -> FI.Clean
-                  | Ok _ -> FI.Degraded
-                  | Error _ -> FI.Typed_failure
-                in
-                let run_one kind mutant =
-                  match kind with
-                  | FI.Stall -> stalled_producer ()
-                  | _ -> analyze_mutant mutant
-                in
-                let report =
-                  FI.campaign ~seed ~runs ~bytes ~run:run_one
-                in
-                if json then
-                  Printf.printf
-                    "{\"runs\": %d, \"clean\": %d, \"degraded\": %d, \
-                     \"typed\": %d, \"escaped\": %d}\n"
-                    report.runs report.clean report.degraded report.typed
-                    (List.length report.escaped)
-                else print_string (FI.report_to_string report);
-                if report.escaped = [] then 0 else 1))
-  in
-  let runs_arg =
-    Arg.(
-      value & opt int 500
-      & info [ "runs" ] ~docv:"N" ~doc:"Number of mutated traces to try.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:"PRNG seed; equal seeds replay the exact same campaign.")
-  in
-  let prog_arg =
-    let doc =
-      "Program whose trace is mutated: a benchmark name, figure name or \
-       MiniC file (default fig4a)."
-    in
-    Arg.(value & pos 0 string "fig4a" & info [] ~docv:"PROGRAM" ~doc)
-  in
-  let format_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("binary", Foray_trace.Tracefile.Binary);
-               ("v2", Foray_trace.Tracefile.Binary2);
-             ])
-          Foray_trace.Tracefile.Binary
-      & info [ "format" ]
-          ~doc:"Trace format the mutants are written in: binary (v1) or v2.")
-  in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:
-         "Fault-injection campaign: mutate a simulated trace hundreds of \
-          ways (bit flips, truncation, duplication, garbage, zeroed spans, \
-          stalls) and verify the pipeline always degrades or fails with a \
-          typed error — never an escaped exception. Exit 0 iff no escapes.")
-    Term.(
-      const run $ prog_arg $ runs_arg $ seed_arg $ format_arg
-      $ json_errors_arg)
-
 (* ---- serve ----------------------------------------------------------- *)
 
 module Serve = Foray_serve.Serve
@@ -1223,18 +1083,6 @@ module Sjson = Foray_serve.Json
 
 let default_socket () =
   Filename.concat (Filename.get_temp_dir_name ()) "forayd.sock"
-
-let serve_config ?access_log ?slow_ms ~socket ~jobs ~cache_mb ~max_steps_cap
-    () =
-  let base = Serve.default_config ~socket_path:socket in
-  {
-    base with
-    Serve.jobs = (if jobs > 0 then jobs else base.Serve.jobs);
-    cache_bytes = cache_mb * 1024 * 1024;
-    max_steps_cap;
-    access_log;
-    slow_ms;
-  }
 
 (* Counter value out of a [metrics] response. *)
 let wire_counter resp name =
@@ -1348,22 +1196,21 @@ let run_top ~socket ~interval ~once ~json =
       in
       loop ())
 
-let jobs_serve_arg =
-  let doc = "Worker domains of the analysis pool (0 = one per core)." in
-  Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let cache_mb_arg =
-  let doc = "Model cache bound in MiB; 0 disables caching." in
-  Arg.(value & opt int 64 & info [ "cache-mb" ] ~docv:"MB" ~doc)
-
 let serve_cmd =
-  let run socket jobs cache_mb max_steps access_log slow_ms json =
+  let run socket jobs cache_mb max_steps_cap access_log slow_ms json =
     guard ~json (fun () ->
         let socket = Option.value socket ~default:(default_socket ()) in
+        let base = Serve.default_config ~socket_path:socket in
         let srv =
           Serve.start
-            (serve_config ?access_log ?slow_ms ~socket ~jobs ~cache_mb
-               ~max_steps_cap:max_steps ())
+            {
+              base with
+              Serve.jobs = (if jobs > 0 then jobs else base.Serve.jobs);
+              cache_bytes = cache_mb * 1024 * 1024;
+              max_steps_cap;
+              access_log;
+              slow_ms;
+            }
         in
         Printf.eprintf "forayd: listening on %s\n%!" socket;
         Serve.wait srv;
@@ -1375,6 +1222,14 @@ let serve_cmd =
        temp directory). A stale socket file is replaced."
     in
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
+  in
+  let jobs_arg =
+    let doc = "Worker domains of the analysis pool (0 = one per core)." in
+    Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  in
+  let cache_mb_arg =
+    let doc = "Model cache bound in MiB; 0 disables caching." in
+    Arg.(value & opt int 64 & info [ "cache-mb" ] ~docv:"MB" ~doc)
   in
   let cap_arg =
     let doc = "Server-side ceiling clamped onto every request's max_steps." in
@@ -1403,79 +1258,8 @@ let serve_cmd =
           requests over a Unix-domain socket (newline-delimited JSON), with \
           an LRU model cache and the documented E_* error taxonomy on the wire.")
     Term.(
-      const run $ socket_arg $ jobs_serve_arg $ cache_mb_arg $ cap_arg
+      const run $ socket_arg $ jobs_arg $ cache_mb_arg $ cap_arg
       $ access_log_arg $ slow_ms_arg $ json_errors_arg)
-
-let serve_bench_cmd =
-  let run socket clients requests programs cold jobs cache_mb json =
-    guard ~json (fun () ->
-        let programs =
-          if programs = [] then [ "adpcm"; "fig4a"; "fig7a" ] else programs
-        in
-        let cold_program = Option.value cold ~default:(List.hd programs) in
-        (* no --socket: spin up a private daemon for the duration *)
-        let own, path =
-          match socket with
-          | Some p -> (None, p)
-          | None ->
-              let path = Serve.temp_socket_path () in
-              let srv =
-                Serve.start
-                  (serve_config ~socket:path ~jobs ~cache_mb
-                     ~max_steps_cap:None ())
-              in
-              (Some srv, path)
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            match own with
-            | Some srv ->
-                (try Serve.Client.shutdown path with _ -> ());
-                Serve.wait srv
-            | None -> ())
-          (fun () ->
-            let r =
-              Serve.bench ~socket:path ~clients ~requests ~programs
-                ~cold_program
-            in
-            if json then print_endline (Serve.bench_result_to_json r)
-            else print_string (Serve.bench_result_to_string r));
-        0)
-  in
-  let socket_arg =
-    let doc =
-      "Drive an already-running daemon at this socket instead of starting \
-       (and shutting down) a private one."
-    in
-    Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
-  in
-  let clients_arg =
-    let doc = "Concurrent client connections." in
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc)
-  in
-  let requests_arg =
-    let doc = "Requests per client (alternating analyze/extract)." in
-    Arg.(value & opt int 25 & info [ "requests" ] ~docv:"N" ~doc)
-  in
-  let programs_arg =
-    let doc = "Comma-separated program mix (default: adpcm,fig4a,fig7a)." in
-    Arg.(value & opt (list string) [] & info [ "programs" ] ~docv:"NAMES" ~doc)
-  in
-  let cold_arg =
-    let doc =
-      "Program for the cold/warm cache probe (default: first of the mix)."
-    in
-    Arg.(value & opt (some string) None & info [ "cold" ] ~docv:"NAME" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "serve-bench"
-       ~doc:
-         "Load-generate against forayd: concurrent clients with a mixed \
-          analyze/extract workload; report req/s, p50/p99 latency, cache \
-          hit rate and the cold-vs-warm speedup.")
-    Term.(
-      const run $ socket_arg $ clients_arg $ requests_arg $ programs_arg
-      $ cold_arg $ jobs_serve_arg $ cache_mb_arg $ json_errors_arg)
 
 let top_cmd =
   let run socket interval once json =
@@ -1524,5 +1308,4 @@ let () =
        (Cmd.group info
           [ list_cmd; extract_cmd; annotate_cmd; trace_cmd; analyze_cmd;
             tree_cmd; verify_cmd; stability_cmd; compare_cmd;
-            tables_cmd; spm_cmd; metrics_cmd; explain_cmd; tracecheck_cmd;
-            faults_cmd; serve_cmd; serve_bench_cmd; top_cmd ]))
+            tables_cmd; spm_cmd; metrics_cmd; explain_cmd; serve_cmd; top_cmd ]))

@@ -286,22 +286,14 @@ let run_source ?config ?thresholds ?shards ?jobs src =
    fallbacks build fresh trees, so events a failing mapped pass already
    delivered are never double-counted. *)
 let analyze_trace ?(strict = false) ?(shards = 1) ?jobs path =
-  let sequential () =
-    let tree, tstats, sink = walker () in
-    Result.map
-      (fun salvage -> ((tree, tstats), salvage))
-      (Tracefile.read ~strict path sink)
-  in
   let streamed () =
-    if shards <= 1 then sequential ()
-    else
-      match via_frames ~shards ?jobs (Tracefile.read ~strict path) with
-      | read, analysis -> Result.map (fun salvage -> (analysis, salvage)) read
-      | exception Invalid_argument _ ->
-          (* Salvaged garbage can carry addresses FORAYTR2 cannot encode.
-             With no file to cut, walk the stream once: the result a
-             sharded analysis is bound to equal. *)
-          sequential ()
+    let read, analysis =
+      if shards <= 1 then
+        let tree, tstats, sink = walker () in
+        (Tracefile.read ~strict path sink, (tree, tstats))
+      else via_frames ~shards ?jobs (Tracefile.read ~strict path)
+    in
+    Result.map (fun salvage -> (analysis, salvage)) read
   in
   if Tracefile.is_binary2 path then
     match

@@ -120,9 +120,8 @@ val analyze_mapped :
     turn out damaged — stream through the salvaging reader
     ({!Foray_trace.Tracefile.read}): into one walker when [shards <= 1],
     otherwise into a temporary FORAYTR2 file that {!analyze_mapped} then
-    cuts (a salvaged stream whose addresses FORAYTR2 cannot encode is
-    walked sequentially instead, with the same result). Either way fresh
-    state is built, so nothing is double-counted.
+    cuts (FORAYTR2 encodes every event the salvaging reader delivers).
+    Either way fresh state is built, so nothing is double-counted.
     Never raises: salvage statistics or (under [~strict]) the first
     corruption come back as values. *)
 val analyze_trace :

@@ -102,8 +102,8 @@ val write : string -> unit
 
 (** {1 Validation}
 
-    A structural checker for the Chrome export, used by [foraygen
-    tracecheck] and the test suite: the string must parse as JSON, carry a
+    A structural checker for the Chrome export, used by the test suite
+    and foraybench: the string must parse as JSON, carry a
     [traceEvents] array whose members have the required fields, and the
     ["X"] events of each track must be properly nested (any two spans on a
     track either disjoint or contained). *)

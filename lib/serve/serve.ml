@@ -1116,176 +1116,3 @@ module Client = struct
       ~finally:(fun () -> close t)
       (fun () -> ignore (request t "{\"op\": \"shutdown\"}"))
 end
-
-(* ------------------------------------------------------------------ *)
-(* Load generator                                                     *)
-
-type bench_result = {
-  br_clients : int;
-  br_requests : int;
-  br_wall_s : float;
-  br_rps : float;
-  br_p50_ms : float;
-  br_p99_ms : float;
-  br_hits : int; (* soak-only delta, not lifetime totals *)
-  br_misses : int;
-  br_hit_rate : float;
-  br_cold_ms : float;
-  br_warm_ms : float;
-  br_warm_speedup : float;
-  br_win_rps : float; (* daemon-side 10s window, read post-soak *)
-  br_win_p50_ms : int;
-  br_win_p99_ms : int;
-}
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (float_of_int n *. p)))
-
-let timed_request client line =
-  let t0 = Unix.gettimeofday () in
-  let resp = Client.request client line in
-  let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  (resp, dt)
-
-let analyze_line prog =
-  Printf.sprintf "{\"op\": \"analyze\", \"program\": \"%s\"}"
-    (Ferr.json_escape prog)
-
-let extract_line prog =
-  Printf.sprintf "{\"op\": \"extract\", \"program\": \"%s\"}"
-    (Ferr.json_escape prog)
-
-let metric_value j name =
-  match Json.member "metrics" j with
-  | Some m -> (
-      match Json.member "counters" m with
-      | Some c -> (
-          match Json.member name c with Some (Json.Int i) -> i | _ -> 0)
-      | None -> 0)
-  | None -> 0
-
-let bench ~socket ~clients ~requests ~programs ~cold_program =
-  if programs = [] then invalid_arg "Serve.bench: programs must be non-empty";
-  let progs = Array.of_list programs in
-  (* cold/warm probe first: on a fresh daemon the first analyze of
-     [cold_program] is a guaranteed miss, the immediate repeat a hit *)
-  let cold_ms, warm_ms =
-    let c = Client.connect socket in
-    Fun.protect
-      ~finally:(fun () -> Client.close c)
-      (fun () ->
-        let _, cold = timed_request c (analyze_line cold_program) in
-        let _, warm = timed_request c (analyze_line cold_program) in
-        (cold, warm))
-  in
-  (* snapshot the cache counters now: the daemon may have served earlier
-     soaks (or the probe above), and only the soak's own delta is an
-     honest hit rate *)
-  let hits0, misses0 =
-    let c = Client.connect socket in
-    Fun.protect
-      ~finally:(fun () -> Client.close c)
-      (fun () ->
-        let j = Client.rpc c [ ("op", "\"metrics\"") ] in
-        (metric_value j "serve.cache.hits", metric_value j "serve.cache.misses"))
-  in
-  (* soak: [clients] domains, each its own connection, alternating
-     analyze/extract over the program mix *)
-  let t0 = Unix.gettimeofday () in
-  let per_client =
-    Parallel.map ~jobs:clients
-      (fun ci ->
-        let c = Client.connect socket in
-        Fun.protect
-          ~finally:(fun () -> Client.close c)
-          (fun () ->
-            List.init requests (fun i ->
-                let prog = progs.((ci + i) mod Array.length progs) in
-                let line =
-                  if i mod 2 = 0 then analyze_line prog else extract_line prog
-                in
-                let resp, dt = timed_request c line in
-                (match Json.parse resp with
-                | Ok _ -> ()
-                | Error msg ->
-                    failwith ("serve-bench: malformed response: " ^ msg));
-                dt)))
-      (List.init clients Fun.id)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let lat = Array.of_list (List.concat per_client) in
-  Array.sort compare lat;
-  let total = Array.length lat in
-  (* post-soak: cache counters again (delta = the soak's own traffic) and
-     the daemon's live 10s window *)
-  let hits, misses, win_rps, win_p50, win_p99 =
-    let c = Client.connect socket in
-    Fun.protect
-      ~finally:(fun () -> Client.close c)
-      (fun () ->
-        let j = Client.rpc c [ ("op", "\"metrics\"") ] in
-        let w10 =
-          match Json.member "window" j with
-          | Some w -> Json.member "10s" w
-          | None -> None
-        in
-        let wf name =
-          match Option.bind w10 (Json.member name) with
-          | Some (Json.Float f) -> f
-          | Some (Json.Int i) -> float_of_int i
-          | _ -> 0.0
-        in
-        let wi name =
-          match Option.bind w10 (Json.member name) with
-          | Some (Json.Int i) -> i
-          | _ -> 0
-        in
-        ( metric_value j "serve.cache.hits" - hits0,
-          metric_value j "serve.cache.misses" - misses0,
-          wf "rps",
-          wi "p50_ms",
-          wi "p99_ms" ))
-  in
-  {
-    br_clients = clients;
-    br_requests = total;
-    br_wall_s = wall_s;
-    br_rps = (if wall_s > 0.0 then float_of_int total /. wall_s else 0.0);
-    br_p50_ms = percentile lat 0.50;
-    br_p99_ms = percentile lat 0.99;
-    br_hits = hits;
-    br_misses = misses;
-    br_hit_rate =
-      (let denom = hits + misses in
-       if denom = 0 then 0.0 else float_of_int hits /. float_of_int denom);
-    br_cold_ms = cold_ms;
-    br_warm_ms = warm_ms;
-    br_warm_speedup = (if warm_ms > 0.0 then cold_ms /. warm_ms else 0.0);
-    br_win_rps = win_rps;
-    br_win_p50_ms = win_p50;
-    br_win_p99_ms = win_p99;
-  }
-
-let bench_result_to_string r =
-  Printf.sprintf
-    "serve: %d clients, %d requests in %.2fs = %.1f req/s\n\
-     latency: p50 %.2fms  p99 %.2fms\n\
-     cache (soak delta): %d hits / %d misses (%.1f%% hit rate)\n\
-     cold %.2fms -> warm %.2fms (%.1fx)\n\
-     daemon 10s window: %.1f rps  p50 %dms  p99 %dms\n"
-    r.br_clients r.br_requests r.br_wall_s r.br_rps r.br_p50_ms r.br_p99_ms
-    r.br_hits r.br_misses (100.0 *. r.br_hit_rate) r.br_cold_ms r.br_warm_ms
-    r.br_warm_speedup r.br_win_rps r.br_win_p50_ms r.br_win_p99_ms
-
-let bench_result_to_json r =
-  Printf.sprintf
-    "{\"clients\": %d, \"requests\": %d, \"wall_s\": %.6f, \"rps\": %.2f, \
-     \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"cache_hits\": %d, \
-     \"cache_misses\": %d, \"hit_rate\": %.4f, \"cold_ms\": %.3f, \
-     \"warm_ms\": %.3f, \"warm_speedup\": %.2f, \"win10_rps\": %.2f, \
-     \"win10_p50_ms\": %d, \"win10_p99_ms\": %d}"
-    r.br_clients r.br_requests r.br_wall_s r.br_rps r.br_p50_ms r.br_p99_ms
-    r.br_hits r.br_misses r.br_hit_rate r.br_cold_ms r.br_warm_ms
-    r.br_warm_speedup r.br_win_rps r.br_win_p50_ms r.br_win_p99_ms

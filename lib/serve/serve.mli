@@ -165,47 +165,3 @@ module Client : sig
   (** Connect, send [{"op": "shutdown"}], await the reply, close. *)
   val shutdown : string -> unit
 end
-
-(** {1 Load generator}
-
-    Drives a running daemon with [clients] concurrent connections (one
-    domain each) issuing [requests] analyze/extract requests per client
-    over [programs] round-robin, after timing one cold and one warm
-    [analyze] of [cold_program]. The cold/warm pair is issued first, so
-    on a fresh daemon [br_cold_ms] is a true miss and [br_warm_ms] a
-    cache hit of the same key. Latencies are measured per request at the
-    client; hit/miss counts are the {e soak-only delta} of the daemon's
-    cache counters (snapshot before, read after), so back-to-back soaks
-    against one daemon report honest hit rates. The daemon's own
-    10s-window rps/percentiles are read post-soak. *)
-
-type bench_result = {
-  br_clients : int;
-  br_requests : int;  (** total requests across all clients (soak only) *)
-  br_wall_s : float;
-  br_rps : float;
-  br_p50_ms : float;
-  br_p99_ms : float;
-  br_hits : int;  (** soak-only delta *)
-  br_misses : int;  (** soak-only delta *)
-  br_hit_rate : float;  (** hits / (hits + misses) over the soak *)
-  br_cold_ms : float;
-  br_warm_ms : float;
-  br_warm_speedup : float;  (** cold / warm *)
-  br_win_rps : float;  (** daemon 10s window, read post-soak *)
-  br_win_p50_ms : int;
-  br_win_p99_ms : int;
-}
-
-val bench :
-  socket:string ->
-  clients:int ->
-  requests:int ->
-  programs:string list ->
-  cold_program:string ->
-  bench_result
-
-val bench_result_to_string : bench_result -> string
-
-(** The [serve] record of [BENCH_pipeline.json]. *)
-val bench_result_to_json : bench_result -> string

@@ -44,6 +44,14 @@ let to_line = function
         width
         (if sys then " sys" else "")
 
+let invalid = function
+  | Checkpoint { loop; _ } -> if loop < 0 then Some "negative loop id" else None
+  | Access { site; addr; width; _ } ->
+      if site < 0 then Some "negative site"
+      else if addr < 0 then Some "negative address"
+      else if width < 0 then Some "negative width"
+      else None
+
 (* [result]-based parsing: the parser reports what is wrong, the caller
    (in practice only {!Tracefile}) decides whether a bad record is fatal
    or a resynchronization point. *)

@@ -49,6 +49,12 @@ val collector : unit -> sink * (unit -> event list)
     width, optional trailing [sys]). *)
 val to_line : event -> string
 
+(** [invalid e] names the first negative field of [e] — loop id, site,
+    address or width — or is [None]. The simulator never emits one, and
+    FORAYTR2 cannot encode one, so a salvaging reader treats an event it
+    decoded with such a field as a bad record. *)
+val invalid : event -> string option
+
 (** Parses one line. Never raises: a malformed line is [Error reason].
     Only {!Tracefile} decides whether that is fatal (strict mode) or a
     resynchronization point (salvage mode). *)

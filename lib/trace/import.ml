@@ -61,7 +61,13 @@ let read ?(strict = false) path =
            | Some line ->
                let here = !offset in
                offset := !offset + String.length line + 1;
-               (match parse_line line with
+               let parsed =
+                 match parse_line line with
+                 | Ok (Some e) as r -> (
+                     match Event.invalid e with Some k -> Error k | None -> r)
+                 | r -> r
+               in
+               (match parsed with
                | Ok None -> in_bad_run := false
                | Ok (Some e) ->
                    in_bad_run := false;

@@ -33,8 +33,8 @@ let m_bytes_mapped = Obs.counter "trace.bytes_mapped"
 
 (* --- varints --------------------------------------------------------- *)
 
-let write_varint buf n =
-  if n < 0 then invalid_arg "Tracefile: negative varint";
+(* [n] as an unsigned 63-bit value: at most nine 7-bit groups. *)
+let write_uvarint buf n =
   let n = ref n in
   let continue = ref true in
   while !continue do
@@ -47,6 +47,10 @@ let write_varint buf n =
     else Buffer.add_char buf (Char.chr (b lor 0x80))
   done
 
+let write_varint buf n =
+  if n < 0 then invalid_arg "Tracefile: negative varint";
+  write_uvarint buf n
+
 exception Eof
 
 let read_byte ic =
@@ -54,8 +58,8 @@ let read_byte ic =
   | Some c -> Char.code c
   | None -> raise Eof
 
-(* Nine 7-bit groups (shift 56) already cover every value [write_varint]
-   can produce from a non-negative 63-bit int; a tenth continuation byte
+(* Nine 7-bit groups (shift 56) already cover every value [write_uvarint]
+   can produce from a 63-bit int; a tenth continuation byte
    would shift by 63, where [lsl] is unspecified, so it can only come from
    corrupted input. *)
 let rec varint_rest ic shift acc =
@@ -71,7 +75,10 @@ let read_varint ic =
   if b land 0x80 = 0 then acc else varint_rest ic 7 acc
 
 (* Address deltas are signed; zigzag folds the sign into bit 0 so small
-   negative strides stay one byte. *)
+   negative strides stay one byte. Both directions work modulo 2^63: the
+   zigzag of any delta is an unsigned 63-bit value ([write_uvarint] writes
+   it in at most 9 bytes), and [prev + unzigzag z] wraps back to the
+   exact address. *)
 let zigzag d = (d lsl 1) lxor (d asr 62)
 let unzigzag v = (v lsr 1) lxor (-(v land 1))
 
@@ -274,9 +281,14 @@ let sink_to_file ?(frame_events = default_frame_events) ~format path =
           if Buffer.length buf >= chunk then flush ()
         end
       in
-      let encode2 = function
+      let encode2 e =
+        (* validate first: nothing below can raise, so a failing event
+           never leaves half a record in the frame *)
+        (match Event.invalid e with
+        | Some k -> invalid_arg ("Tracefile: " ^ k)
+        | None -> ());
+        match e with
         | Event.Checkpoint { loop; kind } ->
-            if loop < 0 then invalid_arg "Tracefile: negative loop id";
             let k = ckind_code kind in
             if loop < 15 then
               Buffer.add_char records (Char.chr ((loop lsl 4) lor (k lsl 2)))
@@ -285,17 +297,11 @@ let sink_to_file ?(frame_events = default_frame_events) ~format path =
               write_varint records loop
             end
         | Event.Access { site; addr; write; sys; width } ->
-            if site < 0 then invalid_arg "Tracefile: negative site";
-            if addr < 0 then invalid_arg "Tracefile: negative address";
-            if width < 0 then invalid_arg "Tracefile: negative width";
             let tag = if write then 2 else 1 in
             let wcode = match width with 1 -> 1 | 4 -> 2 | 8 -> 3 | _ -> 0 in
             let si = site_index site in
             let d = addr - !prev.(si) in
             let z = zigzag d in
-            if z < 0 then invalid_arg "Tracefile: address delta overflow";
-            (* validation done — nothing below can raise, so a failing
-               event never leaves half a record in the frame *)
             let sfield = if si < 7 then si else 7 in
             let head =
               tag lor (if sys then 4 else 0) lor (wcode lsl 3) lor (sfield lsl 5)
@@ -304,7 +310,7 @@ let sink_to_file ?(frame_events = default_frame_events) ~format path =
             if wcode = 0 then write_varint records width;
             if sfield = 7 then write_varint records si;
             !prev.(si) <- addr;
-            write_varint records z
+            write_uvarint records z
       in
       let sink e =
         if !closed then invalid_arg "Tracefile: sink used after close";
@@ -715,6 +721,11 @@ let decode_varint_at s pos =
   in
   go pos 0 0
 
+(* A 9-byte varint or a 16-digit hex field can carry bit 62, so damaged
+   input can decode to an event with a negative field: every salvaging
+   reader treats it as a bad record, like any other. *)
+let check e = match Event.invalid e with None -> Ok e | Some k -> Error k
+
 let decode_event_at s pos =
   let ( let* ) = Result.bind in
   let* tag, pos = decode_varint_at s pos in
@@ -730,15 +741,18 @@ let decode_event_at s pos =
         | n -> Error (Printf.sprintf "bad checkpoint kind %d" n)
       in
       let* loop, pos = decode_varint_at s pos in
-      Ok (Event.Checkpoint { loop; kind }, pos)
+      let* e = check (Event.Checkpoint { loop; kind }) in
+      Ok (e, pos)
   | 1 | 2 ->
       let* sys, pos = decode_varint_at s pos in
       let* site, pos = decode_varint_at s pos in
       let* addr, pos = decode_varint_at s pos in
       let* width, pos = decode_varint_at s pos in
-      Ok
-        ( Event.Access { site; addr; write = tag = 2; sys = sys = 1; width },
-          pos )
+      let* e =
+        check
+          (Event.Access { site; addr; write = tag = 2; sys = sys = 1; width })
+      in
+      Ok (e, pos)
   | n -> Error (Printf.sprintf "bad record tag %d" n)
 
 let read_all path =
@@ -871,6 +885,13 @@ let salvage_v2_frame s pos (sink : Event.sink) events =
   done;
   let prev = Array.make (max n_sites 1) 0 in
   let count = ref 0 in
+  let deliver at e =
+    (match Event.invalid e with Some kind -> fail2 at "%s" kind | None -> ());
+    sink e;
+    Obs.incr m_events_read;
+    Stdlib.incr events;
+    Stdlib.incr count
+  in
   while !p < fend do
     let at = !p in
     let head = Char.code (String.unsafe_get s !p) in
@@ -886,10 +907,7 @@ let salvage_v2_frame s pos (sink : Event.sink) events =
       in
       let loop = (head lsr 4) land 0xf in
       let loop = if loop = 15 then varint () else loop in
-      sink (Event.Checkpoint { loop; kind });
-      Obs.incr m_events_read;
-      Stdlib.incr events;
-      Stdlib.incr count
+      deliver at (Event.Checkpoint { loop; kind })
     end
     else if tag = 3 then fail2 at "bad record tag"
     else begin
@@ -902,13 +920,9 @@ let salvage_v2_frame s pos (sink : Event.sink) events =
       if si >= n_sites then fail2 at "site index outside dictionary";
       let delta = unzigzag (varint ()) in
       let addr = prev.(si) + delta in
-      if addr < 0 then fail2 at "negative address";
       prev.(si) <- addr;
-      sink
-        (Event.Access { site = sites.(si); addr; write = tag = 2; sys; width });
-      Obs.incr m_events_read;
-      Stdlib.incr events;
-      Stdlib.incr count
+      deliver at
+        (Event.Access { site = sites.(si); addr; write = tag = 2; sys; width })
     end
   done;
   if !count <> n_events then
@@ -970,7 +984,7 @@ let read_text_salvage ~strict s (sink : Event.sink) =
       let line_off = !offset in
       offset := !offset + String.length line + 1;
       if !stop = None && String.trim line <> "" then
-        match Event.of_line line with
+        match Result.bind (Event.of_line line) check with
         | Ok e ->
             in_gap := false;
             sink e;

@@ -1,3 +1,5 @@
+module Prng = Foray_util.Prng
+
 type kind =
   | Bit_flip
   | Truncate
@@ -15,8 +17,6 @@ let name = function
   | Insert_garbage -> "insert-garbage"
   | Zero_span -> "zero-span"
   | Stall -> "stall"
-
-let of_name s = List.find_opt (fun k -> name k = s) all
 
 (* Spans are kept short relative to the input so a mutant is damaged, not
    unrecognizable: salvage has something to resynchronize onto. *)

@@ -3,12 +3,11 @@
     Mutates raw byte strings (trace files, usually) in reproducible ways so
     a campaign can assert that every consumer of damaged input returns a
     typed error or a degraded-but-valid result — never an escaped
-    exception. All randomness comes from {!Prng}, so a failing case is
-    re-runnable from its seed alone.
+    exception. All randomness comes from {!Foray_util.Prng}, so a failing
+    case is re-runnable from its seed alone.
 
     This module is deliberately ignorant of trace formats and pipelines:
-    it only knows bytes and a caller-supplied [run] callback, which keeps
-    it reusable from any layer without dependency cycles. *)
+    it only knows bytes and a caller-supplied [run] callback. *)
 
 (** One kind of damage. [Stall] leaves the bytes intact — it models a
     wedged producer, and callers are expected to run it under a tight
@@ -25,12 +24,11 @@ type kind =
 val all : kind list
 
 val name : kind -> string
-val of_name : string -> kind option
 
 (** [apply prng kind bytes] returns the mutated copy. Total for every
     input including the empty string (where most kinds degenerate to the
     identity). *)
-val apply : Prng.t -> kind -> string -> string
+val apply : Foray_util.Prng.t -> kind -> string -> string
 
 (** What one mutated input did to the system under test, as judged by the
     campaign's [run] callback. *)

@@ -7,7 +7,7 @@
    replays from its seed. *)
 
 open Foray_trace
-module FI = Foray_util.Faultinject
+module FI = Faultinject
 
 let ev_ck loop kind = Event.Checkpoint { loop; kind }
 
@@ -132,21 +132,16 @@ let prop_truncation_salvage_v2 =
           | Error _ -> false))
 
 (* The totality property at the center of the harness: every mutation
-   kind, applied to a real binary trace, must produce either a full read,
-   a salvage, or (under strict) a typed corruption value. The campaign
+   kind, applied to a real trace, must produce either a full read, a
+   salvage, or (under strict) a typed corruption value. The campaign
    callback also drives the downstream analyzers so an escape anywhere in
-   trace->tree->model fails the test. *)
-let campaign_total ~format () =
-  let events =
-    List.concat
-      (List.init 8 (fun i ->
-           [ ev_ck 1 Event.Loop_enter; ev_ck 1 Event.Body_enter;
-             ev_acc 0x42 (0x1000 + (4 * i)) ~write:(i mod 2 = 0);
-             ev_ck 1 Event.Body_exit; ev_ck 1 Event.Loop_exit ]))
-  in
+   trace->tree->model fails the test. [Stall] leaves the bytes intact;
+   given the [program] the trace came from, it models a wedged producer
+   instead: the live pipeline under a 64-step budget must stop cleanly. *)
+let campaign_total ~format ~seed ~runs ?program events () =
   with_trace_file ~format events (fun tmp ->
       let bytes = In_channel.with_open_bin tmp In_channel.input_all in
-      let run _kind mutant =
+      let analyze_mutant mutant =
         overwrite tmp mutant;
         let tree = Foray_core.Looptree.create () in
         match Tracefile.read tmp (Foray_core.Looptree.sink tree) with
@@ -167,8 +162,21 @@ let campaign_total ~format () =
               FI.Clean
             else FI.Degraded
       in
-      let report = FI.campaign ~seed:7 ~runs:600 ~bytes ~run in
-      Alcotest.(check int) "runs" 600 report.FI.runs;
+      let stalled_producer prog =
+        let config = { Minic_sim.Interp.default_config with max_steps = 64 } in
+        match Foray_core.Pipeline.run ~config prog with
+        | Ok { degraded = []; _ } -> FI.Clean
+        | Ok _ -> FI.Degraded
+        | Error _ -> FI.Typed_failure
+      in
+      let run kind mutant =
+        match (kind, program) with
+        | FI.Stall, Some prog -> stalled_producer prog
+        | _ -> analyze_mutant mutant
+      in
+      let report = FI.campaign ~seed ~runs ~bytes ~run in
+      print_string (FI.report_to_string report);
+      Alcotest.(check int) "runs" runs report.FI.runs;
       (match report.FI.escaped with
       | [] -> ()
       | (i, k, e) :: _ ->
@@ -179,8 +187,23 @@ let campaign_total ~format () =
           Alcotest.(check bool)
             (FI.name k ^ " exercised")
             true
-            (List.assoc k report.FI.per_kind >= 600 / 6))
+            (List.assoc k report.FI.per_kind >= runs / 6))
         FI.all)
+
+let synthetic_trace =
+  List.concat
+    (List.init 8 (fun i ->
+         [ ev_ck 1 Event.Loop_enter; ev_ck 1 Event.Body_enter;
+           ev_acc 0x42 (0x1000 + (4 * i)) ~write:(i mod 2 = 0);
+           ev_ck 1 Event.Body_exit; ev_ck 1 Event.Loop_exit ]))
+
+(* The fig4a campaign: its simulated v1 trace, 500 mutants, seed 42. *)
+let fig4a_campaign () =
+  let prog = Minic.Parser.program Foray_suite.Figures.fig4a in
+  Minic.Sema.check_exn prog;
+  let _, events = Tutil.run_to_trace (Foray_instrument.Annotate.program prog) in
+  campaign_total ~format:Tracefile.Binary ~seed:42 ~runs:500 ~program:prog
+    events ()
 
 let t_campaign_deterministic () =
   let bytes = "FORAYTR1\x01\x00\x42\x80\x20\x04" in
@@ -222,9 +245,13 @@ let tests =
     QCheck_alcotest.to_alcotest prop_truncation_salvage;
     QCheck_alcotest.to_alcotest prop_truncation_salvage_v2;
     Alcotest.test_case "campaign is total over 600 mutants" `Slow
-      (campaign_total ~format:Tracefile.Binary);
+      (campaign_total ~format:Tracefile.Binary ~seed:7 ~runs:600
+         synthetic_trace);
     Alcotest.test_case "campaign is total over 600 v2 mutants" `Slow
-      (campaign_total ~format:Tracefile.Binary2);
+      (campaign_total ~format:Tracefile.Binary2 ~seed:7 ~runs:600
+         synthetic_trace);
+    Alcotest.test_case "campaign is total over 500 fig4a mutants" `Slow
+      fig4a_campaign;
     Alcotest.test_case "campaign deterministic in seed" `Quick
       t_campaign_deterministic;
     Alcotest.test_case "mutations total on empty input" `Quick

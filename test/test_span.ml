@@ -152,7 +152,8 @@ let t_write_formats () =
         (contains (read folded_path) "domain0;w "))
 
 let t_pipeline_spans () =
-  (* a full pipeline run records the stage spans, nested and valid *)
+  (* a full pipeline run records the stage spans, nested and valid, and
+     the file [Span.write] makes of it (as [--trace-out] does) validates *)
   ignore
     (Tutil.run_source
        ~thresholds:Foray_core.Filter.{ nexec = 2; nloc = 2 }
@@ -165,9 +166,17 @@ let t_pipeline_spans () =
     [ "pipeline.sema"; "pipeline.annotate"; "pipeline.simulate";
       "pipeline.analyze"; "interp.run"; "interp.resolve" ];
   Alcotest.(check bool) "loop spans present" true (contains js "\"loop");
-  match Span.validate_chrome js with
+  (match Span.validate_chrome js with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail ("pipeline trace invalid: " ^ e)
+  | Error e -> Alcotest.fail ("pipeline trace invalid: " ^ e));
+  let path = Filename.temp_file "foray_pipeline" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Span.write path;
+      match Span.validate_chrome_file path with
+      | Ok n -> Alcotest.(check bool) "written trace has events" true (n > 0)
+      | Error e -> Alcotest.fail ("written pipeline trace invalid: " ^ e))
 
 let tests =
   [

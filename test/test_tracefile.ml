@@ -306,7 +306,10 @@ let gen_v2_event =
        in
        return (Event.Checkpoint { loop; kind }));
       (let* site = oneof [ int_bound 6; int_bound 0xfff_ffff ] in
-       let* addr = oneof [ int_bound 0xffff; int_bound 0x3fff_ffff_ffff ] in
+       let* addr =
+         oneof
+           [ int_bound 0xffff; int_bound 0x3fff_ffff_ffff; int_bound max_int ]
+       in
        let* write = bool in
        let* sys = bool in
        let* width = oneofl [ 1; 2; 3; 4; 8; 16; 64 ] in
@@ -325,6 +328,47 @@ let prop_v2_equals_v1 =
       List.length b1 = List.length trace
       && List.length b2 = List.length trace
       && List.for_all2 Event.equal b1 b2)
+
+(* Every stream the salvaging reader delivers converts to FORAYTR2 and
+   analyzes. A delta of almost 2^62 between two addresses still encodes
+   (zigzag modulo 2^63) and round-trips; an address with bit 62 set, which
+   [int_of_string] reads as negative, is a bad record that salvage skips. *)
+let t_v2_convert_extremes () =
+  let convert name text =
+    let src = tmp (name ^ ".txt") and dst = tmp (name ^ ".tr2") in
+    write_file src text;
+    let read =
+      Tracefile.with_sink ~format:Tracefile.Binary2 dst (Tracefile.read src)
+    in
+    (read, src, dst)
+  in
+  let analyzes path =
+    match Foray_core.Pipeline.analyze_trace ~shards:2 path with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.failf "%s: analysis rejected" path
+  in
+  let access addr write =
+    Event.Access { site = 1; addr; write; sys = false; width = 4 }
+  in
+  (match
+     convert "foray_far_delta"
+       "Instr: 1 addr: 3ffffffffffffff0 wr 4\nInstr: 1 addr: 10 rd 4\n"
+   with
+  | Ok s, src, dst ->
+      Alcotest.(check int) "no resync" 0 s.Tracefile.resyncs;
+      Alcotest.(check bool) "round-trips" true
+        (Tracefile.load dst
+        = [ access 0x3fff_ffff_ffff_fff0 true; access 0x10 false ]);
+      analyzes src;
+      analyzes dst
+  | Error _, _, _ -> Alcotest.fail "far delta rejected");
+  match convert "foray_bit62" "Instr: 1 addr: 4000000000000000 wr 4\n" with
+  | Ok s, src, dst ->
+      Alcotest.(check int) "one resync" 1 s.Tracefile.resyncs;
+      Alcotest.(check int) "nothing salvaged" 0 s.Tracefile.events;
+      analyzes src;
+      analyzes dst
+  | Error _, _, _ -> Alcotest.fail "bit-62 address not salvaged"
 
 let tests =
   [
@@ -353,4 +397,6 @@ let tests =
     Alcotest.test_case "v2 truncation" `Quick t_v2_truncated;
     Alcotest.test_case "v2 damaged frame header" `Quick t_v2_bad_frame_header;
     QCheck_alcotest.to_alcotest prop_v2_equals_v1;
+    Alcotest.test_case "v2 converts extreme addresses" `Quick
+      t_v2_convert_extremes;
   ]
