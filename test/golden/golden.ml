@@ -8,7 +8,8 @@
    - the md5 of the program's FORAYTR2 trace bytes;
    - the 4-shard model and verdicts, as digests.
    The [budget] group adds verify reports for runs cut short by
-   [max_steps] and [max_trace_events].
+   [max_steps] and [max_trace_events]; the [salvage] group pins what the
+   salvaging trace reader makes of every fault-injected mutant.
 
    The dune rules beside this file diff each group against its
    [.expected] file in [runtest]. An expected file changes only through
@@ -124,6 +125,88 @@ let progen lo hi =
       let g = Foray_util.Progen.generate ~seed ~nests:(1 + (seed mod 3)) in
       (Printf.sprintf "progen-%d" seed, g.Foray_util.Progen.source))
 
+(* The salvaging reader over damaged traces. Each campaign replays the
+   mutants of one fault campaign (same bytes, seed and run count as
+   test/test_faults.ml, plus a text campaign); every mutant except a
+   [Stall] prints one line: the salvage record, the strict verdict and
+   an md5 of the events salvage delivered. *)
+let salvage_campaign ~name ~format ~seed ~runs events =
+  let tmp = Filename.temp_file "golden" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      Tracefile.save ~format tmp events;
+      let bytes = In_channel.with_open_bin tmp In_channel.input_all in
+      let i = ref (-1) in
+      let run kind mutant =
+        incr i;
+        if kind <> Faultinject.Stall then begin
+          Out_channel.with_open_bin tmp (fun oc ->
+              Out_channel.output_string oc mutant);
+          let b = Buffer.create 4096 in
+          let s =
+            match
+              Tracefile.read tmp (fun e ->
+                  Buffer.add_string b (Foray_trace.Event.to_line e);
+                  Buffer.add_char b '\n')
+            with
+            | Ok s -> s
+            | Error _ -> failwith "salvage mode returned Error"
+          in
+          let strict =
+            match Tracefile.read ~strict:true tmp ignore with
+            | Ok _ -> "ok"
+            | Error c ->
+                Printf.sprintf "%d %S before=%d" c.offset c.kind
+                  c.events_before
+          in
+          Printf.printf
+            "%s %d %s events=%d resyncs=%d skipped=%d tail=%b errors=[%s] \
+             strict=%s md5=%s\n"
+            name !i (Faultinject.name kind) s.events s.resyncs s.bytes_skipped
+            s.truncated_tail
+            (String.concat "; "
+               (List.map (fun (o, k) -> Printf.sprintf "%d %S" o k)
+                  s.first_errors))
+            strict (md5 (Buffer.contents b))
+        end;
+        Faultinject.Clean
+      in
+      let report = Faultinject.campaign ~seed ~runs ~bytes ~run in
+      match report.Faultinject.escaped with
+      | [] -> ()
+      | (i, _, e) :: _ -> failwith (Printf.sprintf "%s run %d: %s" name i e))
+
+(* test/test_faults.ml's synthetic trace: eight one-iteration loops. *)
+let synthetic_trace =
+  let open Foray_trace.Event in
+  List.concat
+    (List.init 8 (fun i ->
+         [ Checkpoint { loop = 1; kind = Loop_enter };
+           Checkpoint { loop = 1; kind = Body_enter };
+           Access
+             { site = 0x42; addr = 0x1000 + (4 * i); write = i mod 2 = 0;
+               sys = false; width = 4 };
+           Checkpoint { loop = 1; kind = Body_exit };
+           Checkpoint { loop = 1; kind = Loop_exit } ]))
+
+let fig4a_trace () =
+  let prog = Minic.Parser.program Foray_suite.Figures.fig4a in
+  let sink, get = Foray_trace.Event.collector () in
+  ignore (Interp.run (Foray_instrument.Annotate.program prog) ~sink);
+  get ()
+
+let salvage () =
+  let fig4a = fig4a_trace () in
+  salvage_campaign ~name:"fig4a-v1" ~format:Tracefile.Binary ~seed:42 ~runs:500
+    fig4a;
+  salvage_campaign ~name:"fig4a-text" ~format:Tracefile.Text ~seed:42
+    ~runs:500 fig4a;
+  salvage_campaign ~name:"synthetic-v1" ~format:Tracefile.Binary ~seed:7
+    ~runs:600 synthetic_trace;
+  salvage_campaign ~name:"synthetic-v2" ~format:Tracefile.Binary2 ~seed:7
+    ~runs:600 synthetic_trace
+
 let steps n = { Interp.default_config with max_steps = n }
 let events n = { Interp.default_config with max_trace_events = Some n }
 
@@ -146,7 +229,8 @@ let () =
           (List.hd (progen 7 7), ("max_steps=300", steps 300));
           (List.hd (progen 8 8), ("max_trace_events=600", events 600));
         ]
+  | [| _; "salvage" |] -> salvage ()
   | [| _; name |] -> full ~thresholds:Filter.default (suite name)
   | _ ->
-      prerr_endline "usage: golden.exe (PROGRAM | figures | budget | progen LO HI)";
+      prerr_endline "usage: golden.exe (PROGRAM | figures | budget | salvage | progen LO HI)";
       exit 2

@@ -197,13 +197,13 @@ let synthetic_trace =
            ev_acc 0x42 (0x1000 + (4 * i)) ~write:(i mod 2 = 0);
            ev_ck 1 Event.Body_exit; ev_ck 1 Event.Loop_exit ]))
 
-(* The fig4a campaign: its simulated v1 trace, 500 mutants, seed 42. *)
-let fig4a_campaign () =
+(* The fig4a campaigns: its simulated trace, stored as [format], 500
+   mutants, seed 42. *)
+let fig4a_campaign format () =
   let prog = Minic.Parser.program Foray_suite.Figures.fig4a in
   Minic.Sema.check_exn prog;
   let _, events = Tutil.run_to_trace (Foray_instrument.Annotate.program prog) in
-  campaign_total ~format:Tracefile.Binary ~seed:42 ~runs:500 ~program:prog
-    events ()
+  campaign_total ~format ~seed:42 ~runs:500 ~program:prog events ()
 
 let t_campaign_deterministic () =
   let bytes = "FORAYTR1\x01\x00\x42\x80\x20\x04" in
@@ -251,7 +251,9 @@ let tests =
       (campaign_total ~format:Tracefile.Binary2 ~seed:7 ~runs:600
          synthetic_trace);
     Alcotest.test_case "campaign is total over 500 fig4a mutants" `Slow
-      fig4a_campaign;
+      (fig4a_campaign Tracefile.Binary);
+    Alcotest.test_case "campaign is total over 500 text fig4a mutants" `Slow
+      (fig4a_campaign Tracefile.Text);
     Alcotest.test_case "campaign deterministic in seed" `Quick
       t_campaign_deterministic;
     Alcotest.test_case "mutations total on empty input" `Quick
