@@ -592,7 +592,10 @@ let measure_shards (pipelines : pipeline_perf list) =
         !best
       in
       let v1_read_s =
-        best_of 3 (fun () -> Tracefile.iter v1_path Foray_trace.Event.null_sink)
+        best_of 3 (fun () ->
+            match Tracefile.read ~strict:true v1_path Foray_trace.Event.null_sink with
+            | Ok _ -> ()
+            | Error _ -> failwith "bench: corrupt v1 trace")
       in
       let m = Tracefile.map v2_path in
       let v2_read_s =

@@ -58,21 +58,9 @@ let finish_degraded ?(strict = false) ?(json = false) degraded =
         ds;
       exit_degraded
 
-(* A positional PROGRAM argument may actually be a stored trace file;
-   recognize both on-disk formats so [extract] can fall back to offline
-   analysis (Steps 3-4) of the file. *)
-let looks_like_trace path =
-  Sys.file_exists path
-  && (not (Sys.is_directory path))
-  &&
-  let head =
-    In_channel.with_open_bin path (fun ic ->
-        really_input_string ic (min 16 (In_channel.length ic |> Int64.to_int)))
-  in
-  String.starts_with ~prefix:"FORAYTR1" head
-  || String.starts_with ~prefix:"FORAYTR2" head
-  || String.starts_with ~prefix:"Checkpoint:" head
-  || String.starts_with ~prefix:"Instr:" head
+(* A positional PROGRAM argument may actually be a stored trace file, of
+   any format: then the verbs run Steps 3-4 offline on the file. *)
+let is_trace path = Foray_trace.Tracefile.sniff path <> None
 
 let prog_arg =
   let doc =
@@ -294,7 +282,7 @@ let extract_cmd =
   let run prog nexec nloc scalars show_hints metrics trace_out strict json
       max_steps deadline_ms max_events shards jobs =
     guard ~json (fun () ->
-        if looks_like_trace prog then
+        if is_trace prog then
           (* A stored trace: skip simulation and run Steps 3-4 offline,
              salvaging damaged records unless --strict. *)
           with_tracing trace_out (fun () ->
@@ -414,9 +402,37 @@ let trace_cmd =
                 Printf.printf "... (truncated at %d events)\n" limit);
           finish_degraded (Foray_core.Pipeline.salvage_degradations salvage)
   in
+  (* Print the first [limit] events a sink receives; [finish] marks a
+     cut listing. *)
+  let printer limit =
+    let printed = ref 0 in
+    let sink e =
+      if !printed < limit then begin
+        print_endline (Foray_trace.Event.to_line e);
+        incr printed
+      end
+    in
+    let finish () =
+      if !printed >= limit then
+        Printf.printf "... (truncated at %d events)\n" limit
+    in
+    (sink, finish)
+  in
+  (* List a stored trace's events, salvaging if damaged (unless
+     --strict) and reporting the damage as --convert does. *)
+  let print_file ~strict ~src ~limit =
+    let sink, finish = printer limit in
+    match Foray_trace.Tracefile.read ~strict src sink with
+    | Error c -> fail_error (Foray_core.Pipeline.error_of_corruption c)
+    | Ok salvage ->
+        finish ();
+        finish_degraded (Foray_core.Pipeline.salvage_degradations salvage)
+  in
   let run prog limit scalars out format convert import strict metrics =
     guard (fun () ->
         if import then import_file ~strict ~src:prog ~out ~format ~limit
+        else if convert = None && is_trace prog then
+          print_file ~strict ~src:prog ~limit
         else
         match convert with
         | Some target -> (
@@ -446,19 +462,11 @@ let trace_cmd =
                 Printf.printf "wrote %d events to %s\n" !n path;
                 0
             | None ->
-                let printed = ref 0 in
-                let sink e =
-                  if !printed < limit then begin
-                    print_endline (Foray_trace.Event.to_line e);
-                    incr printed
-                  end
-                in
-                let _ =
-                  Minic_sim.Interp.run ~config:(config_of scalars) instrumented
-                    ~sink
-                in
-                if !printed >= limit then
-                  Printf.printf "... (truncated at %d events)\n" limit;
+                let sink, finish = printer limit in
+                ignore
+                  (Minic_sim.Interp.run ~config:(config_of scalars)
+                     instrumented ~sink);
+                finish ();
                 0)))
   in
   let limit_arg =
@@ -633,7 +641,7 @@ let verify_cmd =
           end
           else finish_degraded ~strict ~json degraded
         in
-        if looks_like_trace prog then
+        if is_trace prog then
           (* A stored trace: extract the model from it, then replay the
              same stream against the model. *)
           match

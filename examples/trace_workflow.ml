@@ -11,6 +11,14 @@
 
    Run with: dune exec examples/trace_workflow.exe *)
 
+(* Stream a stored trace into [sink], stopping at the first damage. *)
+let read_strict path sink =
+  match Foray_trace.Tracefile.read ~strict:true path sink with
+  | Ok _ -> ()
+  | Error c ->
+      prerr_endline (Foray_core.Error.to_string (Foray_core.Pipeline.error_of_corruption c));
+      exit 1
+
 let banner title =
   Printf.printf "\n=== %s %s\n" title (String.make (60 - String.length title) '=')
 
@@ -42,7 +50,7 @@ let () =
 
   banner "Stage 2: analyze the stored trace";
   let tree = Foray_core.Looptree.create () in
-  Foray_trace.Tracefile.iter path (Foray_core.Looptree.sink tree);
+  read_strict path (Foray_core.Looptree.sink tree);
   let loop_kinds = Foray_instrument.Annotate.loop_table prog in
   let model = Foray_core.Model.of_tree ~loop_kinds tree in
   Printf.printf "model: %d loops, %d references\n"
@@ -74,7 +82,7 @@ let () =
 
   banner "Stage 4: model fidelity (replay the trace against the model)";
   let vsink, finish = Foray_verify.Verify.sink model in
-  Foray_trace.Tracefile.iter path vsink;
+  read_strict path vsink;
   let rep = finish () in
   Printf.printf
     "covered %d accesses (%.1f%% of all), accuracy %.2f%%, %d/%d references \

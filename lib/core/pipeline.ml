@@ -295,7 +295,7 @@ let analyze_trace ?(strict = false) ?(shards = 1) ?jobs path =
     in
     Result.map (fun salvage -> (analysis, salvage)) read
   in
-  if Tracefile.is_binary2 path then
+  if Tracefile.sniff path = Some Tracefile.Binary2 then
     match
       let m = Tracefile.map path in
       (analyze_mapped ~shards ?jobs m, Tracefile.mapped_events m)

@@ -51,29 +51,6 @@ let write_varint buf n =
   if n < 0 then invalid_arg "Tracefile: negative varint";
   write_uvarint buf n
 
-exception Eof
-
-let read_byte ic =
-  match In_channel.input_char ic with
-  | Some c -> Char.code c
-  | None -> raise Eof
-
-(* Nine 7-bit groups (shift 56) already cover every value [write_uvarint]
-   can produce from a 63-bit int; a tenth continuation byte
-   would shift by 63, where [lsl] is unspecified, so it can only come from
-   corrupted input. *)
-let rec varint_rest ic shift acc =
-  let b = read_byte ic in
-  let acc = acc lor ((b land 0x7f) lsl shift) in
-  if b land 0x80 = 0 then acc
-  else if shift >= 56 then corrupt "varint longer than 9 bytes"
-  else varint_rest ic (shift + 7) acc
-
-let read_varint ic =
-  let b = read_byte ic in
-  let acc = b land 0x7f in
-  if b land 0x80 = 0 then acc else varint_rest ic 7 acc
-
 (* Address deltas are signed; zigzag folds the sign into bit 0 so small
    negative strides stay one byte. Both directions work modulo 2^63: the
    zigzag of any delta is an unsigned 63-bit value ([write_uvarint] writes
@@ -98,13 +75,6 @@ let ckind_code = function
   | Event.Body_exit -> 2
   | Event.Loop_exit -> 3
 
-let ckind_of_code = function
-  | 0 -> Event.Loop_enter
-  | 1 -> Event.Body_enter
-  | 2 -> Event.Body_exit
-  | 3 -> Event.Loop_exit
-  | n -> corrupt "bad checkpoint kind %d" n
-
 let encode buf = function
   | Event.Checkpoint { loop; kind } ->
       write_varint buf 0;
@@ -116,35 +86,6 @@ let encode buf = function
       write_varint buf site;
       write_varint buf addr;
       write_varint buf width
-
-let decode_body ic tag =
-  match tag with
-  | 0 ->
-      let kind = ckind_of_code (read_varint ic) in
-      let loop = read_varint ic in
-      Event.Checkpoint { loop; kind }
-  | 1 | 2 ->
-      let sys = read_varint ic = 1 in
-      let site = read_varint ic in
-      let addr = read_varint ic in
-      let width = read_varint ic in
-      Event.Access { site; addr; write = tag = 2; sys; width }
-  | n -> corrupt "bad record tag %d" n
-
-(* [None] only at a clean record boundary; Eof anywhere inside a record is
-   data loss and must not decode as a short-but-successful stream. *)
-let decode_opt ic =
-  match In_channel.input_char ic with
-  | None -> None
-  | Some c ->
-      let e =
-        try
-          let b = Char.code c in
-          let tag = if b land 0x80 = 0 then b else varint_rest ic 7 (b land 0x7f) in
-          decode_body ic tag
-        with Eof -> corrupt "binary trace truncated mid-record"
-      in
-      Some e
 
 (* --- writers ---------------------------------------------------------- *)
 
@@ -355,9 +296,104 @@ let with_sink ?frame_events ~format path k =
   let sink, close = sink_to_file ?frame_events ~format path in
   Fun.protect ~finally:close (fun () -> k sink)
 
-(* --- zero-copy mapped reader (v2) -------------------------------------- *)
+(* --- reading: one decoder per format, over a read-only mapping ---------- *)
+
+(* Every reader decodes straight out of the file's pages: nothing is read
+   into the heap, and a salvaging resync can retry at any byte offset. *)
+type mapping =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* Damage met while decoding: byte offset and kind. Salvage resyncs past
+   it, strict mode returns it, the mapped reader raises it as {!Corrupt}. *)
+exception Damage of int * string
+
+let damage off kind = raise (Damage (off, kind))
+
+let corrupt_of_damage f =
+  try f () with Damage (off, kind) -> corrupt "%s at byte %d" kind off
+
+(* The descriptor closes at once; the pages stay mapped until the array
+   is collected. Failures surface as [Sys_error], like a channel open. *)
+let map_file path =
+  let sys_error e = raise (Sys_error (path ^ ": " ^ Unix.error_message e)) in
+  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error (e, _, _) -> sys_error e
+  | fd -> (
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      try
+        let size = (Unix.fstat fd).Unix.st_size in
+        Bigarray.array1_of_genarray
+          (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
+      with Unix.Unix_error (e, _, _) -> sys_error e)
+
+let has_prefix buf prefix =
+  let n = String.length prefix in
+  Bigarray.Array1.dim buf >= n
+  &&
+  let rec go i = i = n || (Bigarray.Array1.get buf i = prefix.[i] && go (i + 1)) in
+  go 0
+
+let format_of buf =
+  if has_prefix buf magic then Some Binary
+  else if has_prefix buf magic2 then Some Binary2
+  else if has_prefix buf "Checkpoint:" || has_prefix buf "Instr:" then Some Text
+  else None
+
+let sniff path =
+  match map_file path with buf -> format_of buf | exception Sys_error _ -> None
+
+(* Bounds-checked varint at [p] below [limit]: the value and the offset
+   after it. Damage is reported at [at]. Nine 7-bit groups (shift 56)
+   cover every value [write_uvarint] produces; a tenth continuation byte
+   can only come from corrupted input. *)
+let varint_at buf ~at p limit =
+  let rec go q shift acc =
+    if q >= limit then damage at "varint truncated"
+    else
+      let b = Char.code (Bigarray.Array1.unsafe_get buf q) in
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 = 0 then (acc, q + 1)
+      else if shift >= 56 then damage at "varint longer than 9 bytes"
+      else go (q + 1) (shift + 7) acc
+  in
+  go p 0 0
+
+(* A 9-byte varint or a 16-digit hex field can carry bit 62, so damaged
+   input can decode to an event with a negative field: every decoder
+   treats it as a bad record, like any other. *)
+let valid e = match Event.invalid e with Some kind -> Error kind | None -> Ok e
+
+let checked at e = match valid e with Error kind -> damage at kind | Ok e -> e
+
+let ckinds = [| Event.Loop_enter; Event.Body_enter; Event.Body_exit; Event.Loop_exit |]
+
+(* --- FORAYTR1 ---------------------------------------------------------- *)
+
+(* The v1 record at [pos]: the event and the offset after it. *)
+let decode_v1 buf len pos =
+  let varint p = varint_at buf ~at:pos p len in
+  let tag, p = varint pos in
+  match tag with
+  | 0 ->
+      let kind, p = varint p in
+      if kind < 0 || kind > 3 then
+        damage pos (Printf.sprintf "bad checkpoint kind %d" kind);
+      let loop, p = varint p in
+      (checked pos (Event.Checkpoint { loop; kind = ckinds.(kind) }), p)
+  | 1 | 2 ->
+      let sys, p = varint p in
+      let site, p = varint p in
+      let addr, p = varint p in
+      let width, p = varint p in
+      ( checked pos
+          (Event.Access { site; addr; write = tag = 2; sys = sys = 1; width }),
+        p )
+  | n -> damage pos (Printf.sprintf "bad record tag %d" n)
+
+(* --- FORAYTR2 ---------------------------------------------------------- *)
 
 type v2_frame = {
+  f_start : int;
   f_payload : int;
   f_end : int;
   f_events : int;
@@ -366,27 +402,6 @@ type v2_frame = {
   f_sites : int array;
   f_cuttable : bool;
 }
-
-type mapped = {
-  m_buf : (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  m_frames : v2_frame array;
-  m_events : int;
-}
-
-let mapped_events m = m.m_events
-
-(* Safe-access varint used by the (cold) frame-index pass. *)
-let bva buf pos limit =
-  let rec go p shift acc =
-    if p >= limit then corrupt "v2 frame: truncated varint"
-    else
-      let b = Char.code (Bigarray.Array1.get buf p) in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then (acc, p + 1)
-      else if shift >= 56 then corrupt "varint longer than 9 bytes"
-      else go (p + 1) (shift + 7) acc
-  in
-  go pos 0 0
 
 let get_u32 buf pos =
   Char.code (Bigarray.Array1.get buf pos)
@@ -400,99 +415,64 @@ let frame_magic_at buf pos =
   && Bigarray.Array1.get buf (pos + 2) = 'R'
   && Bigarray.Array1.get buf (pos + 3) = '2'
 
-(* One linear pass over the headers builds the frame index: every frame
-   window is validated against the mapped length here, which is what lets
-   the per-record decode below use unchecked byte access — its cursor can
-   never leave [f_payload, f_end) without tripping a bounds test against
-   an already-trusted limit. *)
-let map path =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  let size =
-    match (Unix.fstat fd).Unix.st_size with
-    | s -> s
-    | exception e ->
-        Unix.close fd;
-        raise e
+(* The frame header at [p], checked against the mapped length: its
+   window, loop context and site dictionary. The frame index of {!map}
+   and the salvage walk both parse headers here. Every allocation is
+   bounded by the validated [body_len], so a hostile header cannot blow
+   up before a check trips. *)
+let frame_header buf p ~before =
+  let size = Bigarray.Array1.dim buf in
+  if p + 24 > size then damage p "truncated frame header";
+  if not (frame_magic_at buf p) then damage p "bad frame magic";
+  let body_len = get_u32 buf (p + 4) in
+  let n_events = get_u32 buf (p + 8) in
+  let n_ctx = get_u32 buf (p + 12) in
+  let n_sites = get_u32 buf (p + 16) in
+  let flags = get_u32 buf (p + 20) in
+  let fend = p + 24 + body_len in
+  if fend > size then damage p "frame body truncated";
+  if n_ctx * 2 > body_len then damage p "oversized context";
+  if n_sites > body_len then damage p "oversized dictionary";
+  if n_events > body_len then damage p "oversized event count";
+  let q = ref (p + 24) in
+  let varint () =
+    let v, next = varint_at buf ~at:!q !q fend in
+    q := next;
+    v
   in
-  if size < String.length magic2 then begin
-    Unix.close fd;
-    corrupt "not a FORAYTR2 file (too short)"
-  end;
-  let g =
-    match Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |] with
-    | g ->
-        Unix.close fd;
-        g
-    | exception e ->
-        Unix.close fd;
-        raise e
-  in
-  let buf = Bigarray.array1_of_genarray g in
-  let head = String.init (String.length magic2) (Bigarray.Array1.get buf) in
-  if head <> magic2 then corrupt "not a FORAYTR2 file (bad magic)";
-  Obs.add m_bytes_mapped size;
-  let frames = ref [] in
-  let before = ref 0 in
-  let pos = ref (String.length magic2) in
-  while !pos < size do
-    let p = !pos in
-    if p + 24 > size then corrupt "truncated frame header at byte %d" p;
-    if not (frame_magic_at buf p) then corrupt "bad frame magic at byte %d" p;
-    let body_len = get_u32 buf (p + 4) in
-    let n_events = get_u32 buf (p + 8) in
-    let n_ctx = get_u32 buf (p + 12) in
-    let n_sites = get_u32 buf (p + 16) in
-    let flags = get_u32 buf (p + 20) in
-    let fend = p + 24 + body_len in
-    if fend > size then corrupt "frame at byte %d truncated (%d body bytes)" p body_len;
-    if n_ctx * 2 > body_len then corrupt "frame at byte %d: oversized context" p;
-    if n_sites > body_len then corrupt "frame at byte %d: oversized dictionary" p;
-    if n_events > body_len then corrupt "frame at byte %d: oversized event count" p;
-    let q = ref (p + 24) in
-    let ctx = ref [] in
-    for _ = 1 to n_ctx do
-      let lid, q1 = bva buf !q fend in
-      let it1, q2 = bva buf q1 fend in
-      ctx := (lid, it1 - 1) :: !ctx;
-      q := q2
-    done;
-    let sites = Array.make (max n_sites 1) 0 in
-    for i = 0 to n_sites - 1 do
-      let site, q1 = bva buf !q fend in
-      sites.(i) <- site;
-      q := q1
-    done;
-    frames :=
-      {
-        f_payload = !q;
-        f_end = fend;
-        f_events = n_events;
-        f_before = !before;
-        f_ctx = List.rev !ctx;
-        f_sites = (if n_sites = 0 then [||] else sites);
-        f_cuttable = flags land 1 = 1;
-      }
-      :: !frames;
-    before := !before + n_events;
-    pos := fend
+  let ctx = ref [] in
+  for _ = 1 to n_ctx do
+    let lid = varint () in
+    let it1 = varint () in
+    ctx := (lid, it1 - 1) :: !ctx
+  done;
+  let sites = Array.make n_sites 0 in
+  for i = 0 to n_sites - 1 do
+    sites.(i) <- varint ()
   done;
   {
-    m_buf = buf;
-    m_frames = Array.of_list (List.rev !frames);
-    m_events = !before;
+    f_start = p;
+    f_payload = !q;
+    f_end = fend;
+    f_events = n_events;
+    f_before = before;
+    f_ctx = List.rev !ctx;
+    f_sites = sites;
+    f_cuttable = flags land 1 = 1;
   }
 
-let decode_frame m f (sink : Event.sink) =
-  let buf = m.m_buf in
+(* The only FORAYTR2 record decoder. Unchecked byte access is bounded:
+   every read first tests the cursor against [f_end], which
+   {!frame_header} proved lies inside the mapping. Events reach [sink] as
+   they decode, so a frame that dies halfway has delivered its prefix. *)
+let decode_frame buf f (sink : Event.sink) =
   let limit = f.f_end in
   let sites = f.f_sites in
   let nsites = Array.length sites in
-  let prev = Array.make (if nsites = 0 then 1 else nsites) 0 in
+  let prev = Array.make (max nsites 1) 0 in
   let pos = ref f.f_payload in
-  (* Unchecked byte access is bounded: every read first tests the cursor
-     against [limit], which [map] proved lies inside the mapping. *)
   let rec varint_slow p shift acc =
-    if p >= limit then corrupt "v2 frame: truncated varint"
+    if p >= limit then damage !pos "varint truncated"
     else begin
       let b = Char.code (Bigarray.Array1.unsafe_get buf p) in
       let acc = acc lor ((b land 0x7f) lsl shift) in
@@ -500,13 +480,13 @@ let decode_frame m f (sink : Event.sink) =
         pos := p + 1;
         acc
       end
-      else if shift >= 56 then corrupt "varint longer than 9 bytes"
+      else if shift >= 56 then damage !pos "varint longer than 9 bytes"
       else varint_slow (p + 1) (shift + 7) acc
     end
   in
   let varint () =
     let p = !pos in
-    if p >= limit then corrupt "v2 frame: truncated varint"
+    if p >= limit then damage p "varint truncated"
     else begin
       let b = Char.code (Bigarray.Array1.unsafe_get buf p) in
       if b < 0x80 then begin
@@ -518,17 +498,18 @@ let decode_frame m f (sink : Event.sink) =
   in
   let count = ref 0 in
   while !pos < limit do
-    let head = Char.code (Bigarray.Array1.unsafe_get buf !pos) in
-    incr pos;
+    let at = !pos in
+    let head = Char.code (Bigarray.Array1.unsafe_get buf at) in
+    pos := at + 1;
     let tag = head land 3 in
     if tag = 0 then begin
-      let kind = ckind_of_code ((head lsr 2) land 3) in
+      let kind = Array.unsafe_get ckinds ((head lsr 2) land 3) in
       let loop = (head lsr 4) land 0xf in
       let loop = if loop = 15 then varint () else loop in
       incr count;
-      sink (Event.Checkpoint { loop; kind })
+      sink (checked at (Event.Checkpoint { loop; kind }))
     end
-    else if tag = 3 then corrupt "v2 frame: bad record tag"
+    else if tag = 3 then damage at "bad record tag"
     else begin
       let sys = head land 4 <> 0 in
       let width =
@@ -536,25 +517,49 @@ let decode_frame m f (sink : Event.sink) =
       in
       let si = (head lsr 5) land 7 in
       let si = if si = 7 then varint () else si in
-      if si >= nsites then
-        corrupt "v2 frame: site index %d outside dictionary of %d" si nsites;
-      let delta = unzigzag (varint ()) in
-      let addr = Array.unsafe_get prev si + delta in
-      if addr < 0 then corrupt "v2 frame: negative address";
+      if si >= nsites then damage at "site index outside dictionary";
+      let addr = Array.unsafe_get prev si + unzigzag (varint ()) in
       Array.unsafe_set prev si addr;
       incr count;
       sink
-        (Event.Access
-           { site = Array.unsafe_get sites si; addr; write = tag = 2; sys; width })
+        (checked at
+           (Event.Access
+              { site = Array.unsafe_get sites si; addr; write = tag = 2; sys; width }))
     end
   done;
   if !count <> f.f_events then
-    corrupt "v2 frame: %d record(s) decoded, header claims %d" !count f.f_events;
+    damage f.f_start
+      (Printf.sprintf "frame claims %d event(s), decoded %d" f.f_events !count);
   Obs.incr m_frames_read;
   Obs.add m_events_read f.f_events
 
+(* --- zero-copy mapped reader (v2) -------------------------------------- *)
+
+type mapped = { m_buf : mapping; m_frames : v2_frame array; m_events : int }
+
+let mapped_events m = m.m_events
+
+(* One linear pass over the headers builds the frame index. *)
+let map path =
+  let buf = map_file path in
+  if format_of buf <> Some Binary2 then corrupt "not a FORAYTR2 file";
+  let size = Bigarray.Array1.dim buf in
+  Obs.add m_bytes_mapped size;
+  let frames = ref [] in
+  let before = ref 0 in
+  let pos = ref (String.length magic2) in
+  corrupt_of_damage (fun () ->
+      while !pos < size do
+        let f = frame_header buf !pos ~before:!before in
+        frames := f :: !frames;
+        before := !before + f.f_events;
+        pos := f.f_end
+      done);
+  { m_buf = buf; m_frames = Array.of_list (List.rev !frames); m_events = !before }
+
 let iter_mapped m (sink : Event.sink) =
-  Array.iter (fun f -> decode_frame m f sink) m.m_frames
+  corrupt_of_damage (fun () ->
+      Array.iter (fun f -> decode_frame m.m_buf f sink) m.m_frames)
 
 (* --- frame-index sharding (v2) ----------------------------------------- *)
 
@@ -599,90 +604,20 @@ let frame_shards ~n m =
        starts)
 
 let iter_fshard m fs (sink : Event.sink) =
-  for j = fs.fs_frame to fs.fs_frame + fs.fs_frames - 1 do
-    decode_frame m m.m_frames.(j) sink
-  done
+  corrupt_of_damage (fun () ->
+      for j = fs.fs_frame to fs.fs_frame + fs.fs_frames - 1 do
+        decode_frame m.m_buf m.m_frames.(j) sink
+      done)
 
-(* --- readers ---------------------------------------------------------- *)
+(* --- the reader: salvaging or strict ----------------------------------- *)
 
-let is_binary2 path =
-  match In_channel.open_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> In_channel.close ic)
-        (fun () ->
-          match In_channel.really_input_string ic (String.length magic2) with
-          | Some head -> head = magic2
-          | None -> false)
-
-let with_reader path k =
-  let ic = In_channel.open_bin path in
-  Fun.protect ~finally:(fun () -> In_channel.close ic) (fun () ->
-      match In_channel.really_input_string ic (String.length magic) with
-      | Some head when head = magic -> k (`Binary ic)
-      | Some head when head = magic2 -> k `Binary2
-      | _ ->
-          In_channel.seek ic 0L;
-          k (`Text ic))
-
-let fold path f init =
-  Span.with_span ~cat:"trace" "trace.read"
-    ~args:[ ("path", Filename.basename path) ]
-  @@ fun () ->
-  with_reader path (function
-    | `Binary2 ->
-        let m = map path in
-        let acc = ref init in
-        iter_mapped m (fun e -> acc := f !acc e);
-        !acc
-    | `Binary ic ->
-        let acc = ref init in
-        let continue = ref true in
-        while !continue do
-          match decode_opt ic with
-          | None -> continue := false
-          | Some e ->
-              Obs.incr m_events_read;
-              acc := f !acc e
-        done;
-        !acc
-    | `Text ic ->
-        let acc = ref init in
-        let lineno = ref 0 in
-        let continue = ref true in
-        while !continue do
-          match In_channel.input_line ic with
-          | None -> continue := false
-          | Some line ->
-              Stdlib.incr lineno;
-              if String.trim line <> "" then begin
-                let e =
-                  match Event.of_line line with
-                  | Ok e -> e
-                  | Error msg -> corrupt "line %d: %s" !lineno msg
-                in
-                Obs.incr m_events_read;
-                acc := f !acc e
-              end
-        done;
-        !acc)
-
-let iter path (sink : Event.sink) = fold path (fun () e -> sink e) ()
-
-let load path = List.rev (fold path (fun acc e -> e :: acc) [])
-
-(* --- salvaging reader -------------------------------------------------- *)
-
-(* The readers above are fail-fast: the first malformed record raises
-   {!Corrupt}. [read] instead treats a trace as evidence to be recovered:
-   on a bad record it scans forward to the next byte position where a
-   record decodes again (for v2, to the next frame marker), counts the
-   gap, and keeps going — the analyzers downstream already tolerate
-   partial information (partial affine forms, threshold purging), so a
-   damaged trace yields a best-effort model instead of nothing.
-   [~strict:true] restores fail-fast behaviour but as a typed value, never
-   an exception. *)
+(* [read] treats a trace as evidence to be recovered: on a bad record it
+   scans forward to the next byte position where a record decodes again
+   (for v2, to the next frame marker), counts the gap, and keeps going —
+   the analyzers downstream already tolerate partial information (partial
+   affine forms, threshold purging), so a damaged trace yields a
+   best-effort model instead of nothing. [~strict:true] stops at the
+   first damage and returns it as a typed value, never an exception. *)
 
 type corruption = { offset : int; kind : string; events_before : int }
 
@@ -705,325 +640,146 @@ let clean_salvage events =
 
 let max_recorded_errors = 8
 
-(* String-based binary record decoder, so resynchronization can retry at
-   an arbitrary byte offset (the channel decoder above cannot rewind). *)
-
-let decode_varint_at s pos =
-  let len = String.length s in
-  let rec go p shift acc =
-    if p >= len then Error "varint truncated"
-    else
-      let b = Char.code (String.unsafe_get s p) in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then Ok (acc, p + 1)
-      else if shift >= 56 then Error "varint longer than 9 bytes"
-      else go (p + 1) (shift + 7) acc
-  in
-  go pos 0 0
-
-(* A 9-byte varint or a 16-digit hex field can carry bit 62, so damaged
-   input can decode to an event with a negative field: every salvaging
-   reader treats it as a bad record, like any other. *)
-let check e = match Event.invalid e with None -> Ok e | Some k -> Error k
-
-let decode_event_at s pos =
-  let ( let* ) = Result.bind in
-  let* tag, pos = decode_varint_at s pos in
-  match tag with
-  | 0 ->
-      let* kind, pos = decode_varint_at s pos in
-      let* kind =
-        match kind with
-        | 0 -> Ok Event.Loop_enter
-        | 1 -> Ok Event.Body_enter
-        | 2 -> Ok Event.Body_exit
-        | 3 -> Ok Event.Loop_exit
-        | n -> Error (Printf.sprintf "bad checkpoint kind %d" n)
-      in
-      let* loop, pos = decode_varint_at s pos in
-      let* e = check (Event.Checkpoint { loop; kind }) in
-      Ok (e, pos)
-  | 1 | 2 ->
-      let* sys, pos = decode_varint_at s pos in
-      let* site, pos = decode_varint_at s pos in
-      let* addr, pos = decode_varint_at s pos in
-      let* width, pos = decode_varint_at s pos in
-      let* e =
-        check
-          (Event.Access { site; addr; write = tag = 2; sys = sys = 1; width })
-      in
-      Ok (e, pos)
-  | n -> Error (Printf.sprintf "bad record tag %d" n)
-
-let read_all path =
-  let ic = In_channel.open_bin path in
-  Fun.protect
-    ~finally:(fun () -> In_channel.close ic)
-    (fun () -> In_channel.input_all ic)
-
-let read_binary_salvage ~strict s (sink : Event.sink) =
-  let len = String.length s in
-  let pos = ref (String.length magic) in
-  let events = ref 0 in
-  let resyncs = ref 0 in
-  let skipped = ref 0 in
-  let truncated = ref false in
-  let errors = ref [] in
-  let stop = ref None in
-  while !stop = None && !pos < len do
-    match decode_event_at s !pos with
-    | Ok (e, next) ->
-        sink e;
-        Obs.incr m_events_read;
-        incr events;
-        pos := next
-    | Error kind ->
-        if strict then
-          stop := Some { offset = !pos; kind; events_before = !events }
-        else begin
-          if List.length !errors < max_recorded_errors then
-            errors := (!pos, kind) :: !errors;
-          let gap_start = !pos in
-          Stdlib.incr pos;
-          let continue = ref true in
-          while !continue && !pos < len do
-            match decode_event_at s !pos with
-            | Ok _ -> continue := false
-            | Error _ -> Stdlib.incr pos
-          done;
-          if !pos >= len then truncated := true;
-          Stdlib.incr resyncs;
-          skipped := !skipped + (!pos - gap_start)
-        end
-  done;
-  match !stop with
+let outcome ~stop ~events ~resyncs ~skipped ~truncated ~errors =
+  match stop with
   | Some c -> Error c
   | None ->
       Ok
         {
-          events = !events;
-          resyncs = !resyncs;
-          bytes_skipped = !skipped;
-          truncated_tail = !truncated;
-          first_errors = List.rev !errors;
+          events;
+          resyncs;
+          bytes_skipped = skipped;
+          truncated_tail = truncated;
+          first_errors = List.rev errors;
         }
 
-(* --- v2 salvage: frame-by-frame with frame-marker resync --------------- *)
-
-exception Fail2 of int * string
-
-let fail2 off fmt = Printf.ksprintf (fun s -> raise (Fail2 (off, s))) fmt
-
-let get_u32_s s pos =
-  Char.code (String.unsafe_get s pos)
-  lor (Char.code (String.unsafe_get s (pos + 1)) lsl 8)
-  lor (Char.code (String.unsafe_get s (pos + 2)) lsl 16)
-  lor (Char.code (String.unsafe_get s (pos + 3)) lsl 24)
-
-let rec find_frame_magic s from =
-  let len = String.length s in
-  if from >= len then None
-  else
-    match String.index_from_opt s from '\xf7' with
-    | None -> None
-    | Some i ->
-        if
-          i + 4 <= len
-          && s.[i + 1] = 'F'
-          && s.[i + 2] = 'R'
-          && s.[i + 3] = '2'
-        then Some i
-        else find_frame_magic s (i + 1)
-
-(* Decode one frame at [pos], delivering events as they decode (a frame
-   that dies halfway still contributed its prefix — salvage counts what
-   reached the sink). Returns the frame end; raises {!Fail2} on damage.
-   Every allocation is bounded by the validated [body_len], so a hostile
-   header cannot make salvage blow up before the decode loop trips. *)
-let salvage_v2_frame s pos (sink : Event.sink) events =
-  let len = String.length s in
-  if pos + 24 > len then fail2 pos "truncated frame header";
-  if
-    not
-      (String.unsafe_get s pos = '\xf7'
-      && s.[pos + 1] = 'F'
-      && s.[pos + 2] = 'R'
-      && s.[pos + 3] = '2')
-  then fail2 pos "bad frame magic";
-  let body_len = get_u32_s s (pos + 4) in
-  let n_events = get_u32_s s (pos + 8) in
-  let n_ctx = get_u32_s s (pos + 12) in
-  let n_sites = get_u32_s s (pos + 16) in
-  let fend = pos + 24 + body_len in
-  if fend > len then fail2 pos "frame body truncated";
-  if n_ctx * 2 > body_len then fail2 pos "oversized context";
-  if n_sites > body_len then fail2 pos "oversized dictionary";
-  if n_events > body_len then fail2 pos "oversized event count";
-  let p = ref (pos + 24) in
-  let varint () =
-    let rec go q shift acc =
-      if q >= fend then fail2 !p "varint truncated"
-      else
-        let b = Char.code (String.unsafe_get s q) in
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 = 0 then begin
-          p := q + 1;
-          acc
-        end
-        else if shift >= 56 then fail2 !p "varint longer than 9 bytes"
-        else go (q + 1) (shift + 7) acc
-    in
-    go !p 0 0
-  in
-  for _ = 1 to n_ctx do
-    ignore (varint ());
-    ignore (varint ())
-  done;
-  let sites = Array.make (max n_sites 1) 0 in
-  for i = 0 to n_sites - 1 do
-    sites.(i) <- varint ()
-  done;
-  let prev = Array.make (max n_sites 1) 0 in
-  let count = ref 0 in
-  let deliver at e =
-    (match Event.invalid e with Some kind -> fail2 at "%s" kind | None -> ());
-    sink e;
-    Obs.incr m_events_read;
-    Stdlib.incr events;
-    Stdlib.incr count
-  in
-  while !p < fend do
-    let at = !p in
-    let head = Char.code (String.unsafe_get s !p) in
-    Stdlib.incr p;
-    let tag = head land 3 in
-    if tag = 0 then begin
-      let kind =
-        match (head lsr 2) land 3 with
-        | 0 -> Event.Loop_enter
-        | 1 -> Event.Body_enter
-        | 2 -> Event.Body_exit
-        | _ -> Event.Loop_exit
-      in
-      let loop = (head lsr 4) land 0xf in
-      let loop = if loop = 15 then varint () else loop in
-      deliver at (Event.Checkpoint { loop; kind })
-    end
-    else if tag = 3 then fail2 at "bad record tag"
-    else begin
-      let sys = head land 4 <> 0 in
-      let width =
-        match (head lsr 3) land 3 with 0 -> varint () | 1 -> 1 | 2 -> 4 | _ -> 8
-      in
-      let si = (head lsr 5) land 7 in
-      let si = if si = 7 then varint () else si in
-      if si >= n_sites then fail2 at "site index outside dictionary";
-      let delta = unzigzag (varint ()) in
-      let addr = prev.(si) + delta in
-      prev.(si) <- addr;
-      deliver at
-        (Event.Access { site = sites.(si); addr; write = tag = 2; sys; width })
-    end
-  done;
-  if !count <> n_events then
-    fail2 pos "frame claims %d event(s), decoded %d" n_events !count;
-  fend
-
-let read_binary2_salvage ~strict s (sink : Event.sink) =
-  let len = String.length s in
-  let pos = ref (String.length magic2) in
+(* The walk both binary formats share. [step pos deliver] decodes from
+   [pos] and returns where the next unit starts, raising {!Damage};
+   [resync off] names where decoding may resume after damage at [off]
+   ([None]: nowhere before the end of the file). *)
+let salvage_walk ~strict buf ~start ~step ~resync (sink : Event.sink) =
+  let len = Bigarray.Array1.dim buf in
   let events = ref 0 in
-  let resyncs = ref 0 in
-  let skipped = ref 0 in
-  let truncated = ref false in
-  let errors = ref [] in
-  let stop = ref None in
+  let deliver e =
+    incr events;
+    sink e
+  in
+  let pos = ref start in
+  let resyncs = ref 0 and skipped = ref 0 and truncated = ref false in
+  let errors = ref [] and stop = ref None in
   while !stop = None && !pos < len do
-    match salvage_v2_frame s !pos sink events with
-    | fend -> pos := fend
-    | exception Fail2 (off, kind) ->
+    match step !pos deliver with
+    | next -> pos := next
+    | exception Damage (off, kind) ->
         if strict then
           stop := Some { offset = off; kind; events_before = !events }
         else begin
           if List.length !errors < max_recorded_errors then
             errors := (off, kind) :: !errors;
-          (match find_frame_magic s (off + 1) with
+          match resync off with
           | Some q ->
-              Stdlib.incr resyncs;
+              incr resyncs;
               skipped := !skipped + (q - off);
+              if q >= len then truncated := true;
               pos := q
           | None ->
               truncated := true;
               skipped := !skipped + (len - off);
-              pos := len)
+              pos := len
         end
   done;
-  match !stop with
-  | Some c -> Error c
-  | None ->
-      Ok
-        {
-          events = !events;
-          resyncs = !resyncs;
-          bytes_skipped = !skipped;
-          truncated_tail = !truncated;
-          first_errors = List.rev !errors;
-        }
+  outcome ~stop:!stop ~events:!events ~resyncs:!resyncs ~skipped:!skipped
+    ~truncated:!truncated ~errors:!errors
 
-let read_text_salvage ~strict s (sink : Event.sink) =
-  let events = ref 0 in
-  let resyncs = ref 0 in
-  let skipped = ref 0 in
-  let errors = ref [] in
-  let stop = ref None in
+(* v1 resyncs at the next byte where a whole record decodes. *)
+let read_v1 ~strict buf sink =
+  let len = Bigarray.Array1.dim buf in
+  let step pos deliver =
+    let e, next = decode_v1 buf len pos in
+    deliver e;
+    Obs.incr m_events_read;
+    next
+  in
+  let rec decodes_at q =
+    if q >= len then q
+    else
+      match decode_v1 buf len q with
+      | _ -> q
+      | exception Damage _ -> decodes_at (q + 1)
+  in
+  salvage_walk ~strict buf ~start:(String.length magic) ~step
+    ~resync:(fun off -> Some (decodes_at (off + 1)))
+    sink
+
+(* v2 resyncs at the next frame marker. *)
+let read_v2 ~strict buf sink =
+  let last = Bigarray.Array1.dim buf - 4 in
+  let rec marker_at q =
+    if q > last then None
+    else if frame_magic_at buf q then Some q
+    else marker_at (q + 1)
+  in
+  let step pos deliver =
+    let f = frame_header buf pos ~before:0 in
+    decode_frame buf f deliver;
+    f.f_end
+  in
+  salvage_walk ~strict buf ~start:(String.length magic2) ~step
+    ~resync:(fun off -> marker_at (off + 1))
+    sink
+
+(* Text is line-based: a run of bad lines is one resync, and blank lines
+   neither deliver nor end a run. Lines are cut as
+   [String.split_on_char '\n'] would cut the file. *)
+let read_text ~strict buf (sink : Event.sink) =
+  let len = Bigarray.Array1.dim buf in
+  let events = ref 0 and resyncs = ref 0 and skipped = ref 0 in
+  let errors = ref [] and stop = ref None in
   let in_gap = ref false in
-  let offset = ref 0 in
-  let lines = String.split_on_char '\n' s in
-  List.iter
-    (fun line ->
-      let line_off = !offset in
-      offset := !offset + String.length line + 1;
-      if !stop = None && String.trim line <> "" then
-        match Result.bind (Event.of_line line) check with
-        | Ok e ->
-            in_gap := false;
-            sink e;
-            Obs.incr m_events_read;
-            incr events
-        | Error kind ->
-            if strict then
-              stop := Some { offset = line_off; kind; events_before = !events }
-            else begin
-              if List.length !errors < max_recorded_errors then
-                errors := (line_off, kind) :: !errors;
-              if not !in_gap then Stdlib.incr resyncs;
-              in_gap := true;
-              skipped := !skipped + String.length line + 1
-            end)
-    lines;
-  match !stop with
-  | Some c -> Error c
-  | None ->
-      Ok
-        {
-          events = !events;
-          resyncs = !resyncs;
-          bytes_skipped = !skipped;
-          truncated_tail = false;
-          first_errors = List.rev !errors;
-        }
+  let start = ref 0 in
+  while !stop = None && !start <= len do
+    let line_off = !start in
+    let nl = ref line_off in
+    while !nl < len && Bigarray.Array1.unsafe_get buf !nl <> '\n' do
+      incr nl
+    done;
+    let n = !nl - line_off in
+    let b = Bytes.create n in
+    for i = 0 to n - 1 do
+      Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get buf (line_off + i))
+    done;
+    let line = Bytes.unsafe_to_string b in
+    start := !nl + 1;
+    if String.trim line <> "" then
+      match Result.bind (Event.of_line line) valid with
+      | Ok e ->
+          in_gap := false;
+          sink e;
+          Obs.incr m_events_read;
+          incr events
+      | Error kind ->
+          if strict then
+            stop := Some { offset = line_off; kind; events_before = !events }
+          else begin
+            if List.length !errors < max_recorded_errors then
+              errors := (line_off, kind) :: !errors;
+            if not !in_gap then incr resyncs;
+            in_gap := true;
+            skipped := !skipped + n + 1
+          end
+  done;
+  outcome ~stop:!stop ~events:!events ~resyncs:!resyncs ~skipped:!skipped
+    ~truncated:false ~errors:!errors
 
 let read ?(strict = false) path (sink : Event.sink) =
-  Span.with_span ~cat:"trace" "trace.read_salvage"
+  Span.with_span ~cat:"trace" "trace.read"
     ~args:[ ("path", Filename.basename path) ]
   @@ fun () ->
-  let s = read_all path in
-  let has m =
-    String.length s >= String.length m && String.sub s 0 (String.length m) = m
-  in
-  if has magic then read_binary_salvage ~strict s sink
-  else if has magic2 then read_binary2_salvage ~strict s sink
-  else read_text_salvage ~strict s sink
+  let buf = map_file path in
+  match format_of buf with
+  | Some Binary -> read_v1 ~strict buf sink
+  | Some Binary2 -> read_v2 ~strict buf sink
+  | Some Text | None -> read_text ~strict buf sink
 
 let salvage_to_string (s : salvage) =
   Printf.sprintf

@@ -16,10 +16,14 @@
       shard cutter ({!frame_shards}), so no event array is ever
       materialized.
 
-    Readers auto-detect the format from the magic and raise {!Corrupt} on
-    malformed or truncated content — a binary stream may only end at a
-    record boundary, so a file chopped mid-record fails loudly instead of
-    silently losing its tail.
+    Each format has exactly one decoder, and every reader runs it over a
+    read-only [Unix.map_file] mapping of the file: nothing is loaded into
+    the heap, so reading takes constant memory whatever the file size.
+    {!read} detects the format from the magic and either salvages damaged
+    content or, with [~strict:true], returns the first damage as a value
+    — a binary stream may only end at a record boundary, so a file chopped
+    mid-record never passes as a shorter trace. The mapped v2 reader
+    ({!map}, {!iter_mapped}, {!iter_fshard}) raises {!Corrupt} instead.
 
     When {!Foray_obs.Obs} collection is enabled, readers and writers
     report [trace.events_written], [trace.bytes_written], [trace.flushes],
@@ -28,9 +32,10 @@
 
 type format = Text | Binary | Binary2
 
-(** Malformed trace content: bad record tag or checkpoint kind, a varint
-    longer than 9 bytes, a binary stream truncated mid-record, a damaged
-    v2 frame header, or an unparseable text line. *)
+(** A damaged FORAYTR2 file met by the mapped reader: a damaged frame
+    header, a bad record, a record with a negative field, or a frame
+    whose records contradict its header. The message names the damage
+    kind and its byte offset. *)
 exception Corrupt of string
 
 (** [save ~format path events] writes a whole trace. The file is closed
@@ -56,26 +61,18 @@ val sink_to_file :
 val with_sink :
   ?frame_events:int -> format:format -> string -> (Event.sink -> 'a) -> 'a
 
-(** [load path] reads a whole trace, auto-detecting the format.
-    @raise Corrupt on malformed content. *)
-val load : string -> Event.event list
-
-(** [fold path f init] streams the file through [f] without building a
-    list — constant space for arbitrarily large traces. A v2 file is
-    decoded through the zero-copy mapped reader.
-    @raise Corrupt on malformed content. *)
-val fold : string -> ('a -> Event.event -> 'a) -> 'a -> 'a
-
-(** [iter path f] is [fold] for side effects; [f] is a sink, so an
-    analyzer can be fed directly from a file. *)
-val iter : string -> Event.sink -> unit
+(** [sniff path] names the format of a stored trace: [Binary] and
+    [Binary2] from the magic, [Text] when the file opens with a
+    [Checkpoint:] or [Instr:] record. [None] for anything else, including
+    a missing or unreadable file. *)
+val sniff : string -> format option
 
 (** {1 Zero-copy mapped reader (v2)}
 
-    A FORAYTR2 file decodes fastest through the mapping: {!map} validates
-    every frame window against the file length once, and {!decode_frame}'s
-    hot varint loop then runs on unchecked byte loads bounded by those
-    windows. Nothing is copied — events are synthesized straight off the
+    A FORAYTR2 file decodes fastest through its frame index: {!map}
+    validates every frame window against the file length once, and the
+    frame decoder's hot varint loop then runs on unchecked byte loads
+    bounded by those windows. Nothing is copied — events are synthesized straight off the
     page cache into the sink. *)
 
 (** An open mapping plus its validated frame index. The mapping lives
@@ -94,12 +91,9 @@ val mapped_events : mapped -> int
 
 (** [iter_mapped m sink] decodes every frame in order — the sequential
     read. Reports [trace.frames_read]/[trace.events_read] per frame.
-    @raise Corrupt if a frame body contradicts its validated header. *)
+    @raise Corrupt if a record is damaged or a frame body contradicts its
+    validated header; the events before it have reached [sink]. *)
 val iter_mapped : mapped -> Event.sink -> unit
-
-(** [is_binary2 path] sniffs for the FORAYTR2 magic; total — unreadable
-    or short files are simply [false]. *)
-val is_binary2 : string -> bool
 
 (** A shard of whole frames: decode with {!iter_fshard} after restoring
     [fs_context] into a fresh mergeable walker. *)
@@ -128,16 +122,17 @@ type fshard = {
     @raise Invalid_argument if [n < 1]. *)
 val frame_shards : n:int -> mapped -> fshard list
 
-(** [iter_fshard m fs sink] decodes one shard's frames into [sink]. *)
+(** [iter_fshard m fs sink] decodes one shard's frames into [sink].
+    @raise Corrupt like {!iter_mapped}. *)
 val iter_fshard : mapped -> fshard -> Event.sink -> unit
 
-(** {1 Salvaging reader}
+(** {1 Reading any format}
 
-    {!load}/{!fold}/{!iter} are fail-fast. {!read} instead recovers what
-    it can: on a corrupt record it scans forward to the next decodable
-    record — for v2, to the next frame marker — counts the gap, and keeps
-    feeding the sink — so a damaged trace still yields a best-effort
-    partial model. This module is the only place that decides
+    {!read} recovers what it can: on a corrupt record it scans forward to
+    the next decodable record — for v2, to the next frame marker — counts
+    the gap, and keeps feeding the sink, so a damaged trace still yields a
+    best-effort partial model. [~strict:true] is the fail-fast reader: it
+    stops at the first damage. This module is the only place that decides
     corrupt-handling policy; {!Event.of_line} merely reports. *)
 
 (** First unrecoverable corruption in strict mode: byte [offset], damage
@@ -155,10 +150,11 @@ type salvage = {
 (** A fully intact read: [events] delivered, nothing skipped. *)
 val clean_salvage : int -> salvage
 
-(** [read ?strict path sink] streams [path] (format auto-detected) into
-    [sink]. Default salvage mode always returns [Ok]; [~strict:true]
-    stops at the first corrupt record and returns it as a value — this
-    API never raises {!Corrupt}. *)
+(** [read ?strict path sink] streams [path] into [sink]: FORAYTR1 or
+    FORAYTR2 by the magic, anything else as text. Default salvage mode
+    always returns [Ok]; [~strict:true] stops at the first corrupt record
+    and returns it as a value — this API never raises {!Corrupt}.
+    @raise Sys_error if [path] cannot be opened or mapped. *)
 val read : ?strict:bool -> string -> Event.sink -> (salvage, corruption) result
 
 (** One-line summary of salvage statistics. *)

@@ -229,7 +229,7 @@ let t_trace_io_counters () =
       in
       Foray_trace.Tracefile.save ~format:Foray_trace.Tracefile.Binary path
         events;
-      ignore (Foray_trace.Tracefile.load path);
+      ignore (Tutil.load path);
       Alcotest.(check (option int)) "written" (Some 3)
         (Obs.value "trace.events_written");
       Alcotest.(check (option int)) "read back" (Some 3)

@@ -854,7 +854,7 @@ let t_verify_op () =
             let model = Model.of_tree ~thresholds:fig4a_thresholds tree in
             parse_json
               (Verify.report_to_json
-                 (Verify.verify model (Tracefile.load tpath)))
+                 (Verify.verify model (Tutil.load tpath)))
         | Error _ -> Alcotest.fail "local trace analysis failed"
       in
       with_daemon (fun path ->

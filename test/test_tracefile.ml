@@ -15,7 +15,7 @@ let t_roundtrip_text () =
   let trace = sample_trace () in
   let path = tmp "foray_text.tr" in
   Tracefile.save ~format:Tracefile.Text path trace;
-  let back = Tracefile.load path in
+  let back = Tutil.load path in
   Alcotest.(check int) "length" (List.length trace) (List.length back);
   List.iter2 (fun a b -> if not (Event.equal a b) then Alcotest.fail "event") trace back
 
@@ -23,7 +23,7 @@ let t_roundtrip_binary () =
   let trace = sample_trace () in
   let path = tmp "foray_bin.tr" in
   Tracefile.save ~format:Tracefile.Binary path trace;
-  let back = Tracefile.load path in
+  let back = Tutil.load path in
   Alcotest.(check int) "length" (List.length trace) (List.length back);
   List.iter2 (fun a b -> if not (Event.equal a b) then Alcotest.fail "event") trace back
 
@@ -44,7 +44,9 @@ let t_streaming_fold () =
   let trace = sample_trace () in
   let path = tmp "foray_fold.tr" in
   Tracefile.save ~format:Tracefile.Binary path trace;
-  let n = Tracefile.fold path (fun acc _ -> acc + 1) 0 in
+  let n = ref 0 in
+  ignore (Tracefile.read ~strict:true path (fun _ -> incr n));
+  let n = !n in
   Alcotest.(check int) "fold counts all" (List.length trace) n
 
 let t_sink_to_file_streaming () =
@@ -54,7 +56,7 @@ let t_sink_to_file_streaming () =
   let instrumented = Foray_instrument.Annotate.program prog in
   let _ = Minic_sim.Interp.run instrumented ~sink in
   close ();
-  let back = Tracefile.load path in
+  let back = Tutil.load path in
   Alcotest.(check int) "same as direct collection" 87 (List.length back)
 
 let t_analysis_from_file_matches () =
@@ -64,7 +66,7 @@ let t_analysis_from_file_matches () =
   let path = tmp "foray_match.tr" in
   Tracefile.save ~format:Tracefile.Binary path trace;
   let tree = Foray_core.Looptree.create () in
-  Tracefile.iter path (Foray_core.Looptree.sink tree);
+  ignore (Tracefile.read ~strict:true path (Foray_core.Looptree.sink tree));
   let model =
     Foray_core.Model.of_tree ~loop_kinds:r.loop_kinds tree
   in
@@ -77,13 +79,12 @@ let t_empty_file () =
   let oc = open_out path in
   close_out oc;
   Alcotest.(check int) "empty file, empty trace" 0
-    (List.length (Tracefile.load path))
+    (List.length (Tutil.load path))
 
-let expect_corrupt what f =
-  try
-    ignore (f ());
-    Alcotest.fail (what ^ ": expected Tracefile.Corrupt")
-  with Tracefile.Corrupt _ -> ()
+let expect_corrupt what path =
+  match Tutil.read_strict path with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail (what ^ ": expected a corruption")
 
 let t_corrupt_binary () =
   let path = tmp "foray_corrupt.tr" in
@@ -92,7 +93,7 @@ let t_corrupt_binary () =
   output_string oc "\x09";
   (* bad tag *)
   close_out oc;
-  expect_corrupt "bad tag" (fun () -> Tracefile.load path)
+  expect_corrupt "bad tag" path
 
 let read_file path =
   let ic = open_in_bin path in
@@ -120,7 +121,7 @@ let t_truncated_binary () =
       write_file path (String.sub bytes 0 (String.length bytes - chop));
       expect_corrupt
         (Printf.sprintf "chopped %d byte(s)" chop)
-        (fun () -> Tracefile.load path))
+        path)
     [ 1; 2 ]
 
 let t_truncated_header () =
@@ -128,13 +129,13 @@ let t_truncated_header () =
   let path = tmp "foray_trunc_hdr.tr" in
   write_file path "FORAYTR1\x00";
   (* checkpoint tag with no kind/loop *)
-  expect_corrupt "mid-record eof" (fun () -> Tracefile.load path)
+  expect_corrupt "mid-record eof" path
 
 let t_oversized_varint () =
   (* ten continuation bytes would shift past bit 62: reject, don't wrap *)
   let path = tmp "foray_bigvarint.tr" in
   write_file path ("FORAYTR1\x00" ^ String.make 10 '\xff');
-  expect_corrupt "oversized varint" (fun () -> Tracefile.load path)
+  expect_corrupt "oversized varint" path
 
 let t_bitflipped_magic () =
   (* a damaged magic demotes the file to the text reader, which must then
@@ -146,12 +147,12 @@ let t_bitflipped_magic () =
   Bytes.set bytes 0 (Char.chr (Char.code (Bytes.get bytes 0) lxor 1));
   let path = tmp "foray_flip.tr" in
   write_file path (Bytes.to_string bytes);
-  expect_corrupt "flipped magic" (fun () -> Tracefile.load path)
+  expect_corrupt "flipped magic" path
 
 let t_corrupt_text_line () =
   let path = tmp "foray_badline.tr" in
   write_file path "Checkpoint: 1 loop_enter\nthis is not a trace record\n";
-  expect_corrupt "bad text line" (fun () -> Tracefile.load path)
+  expect_corrupt "bad text line" path
 
 let t_varint_values () =
   (* exercise multi-byte varints through large addresses *)
@@ -163,7 +164,7 @@ let t_varint_values () =
   in
   let path = tmp "foray_big.tr" in
   Tracefile.save ~format:Tracefile.Binary path big;
-  let back = Tracefile.load path in
+  let back = Tutil.load path in
   List.iter2
     (fun a b -> if not (Event.equal a b) then Alcotest.fail "big values")
     big back
@@ -180,8 +181,8 @@ let t_roundtrip_v2 () =
   let trace = sample_trace () in
   let path = tmp "foray_v2.tr" in
   Tracefile.save ~format:Tracefile.Binary2 path trace;
-  Alcotest.(check bool) "sniffed as v2" true (Tracefile.is_binary2 path);
-  check_equal_traces "v2 round-trip" trace (Tracefile.load path)
+  Alcotest.(check bool) "sniffed as v2" true (Tracefile.sniff path = Some Tracefile.Binary2);
+  check_equal_traces "v2 round-trip" trace (Tutil.load path)
 
 let t_v2_smaller_than_v1 () =
   let trace = sample_trace () in
@@ -228,7 +229,7 @@ let t_v2_obs_counters () =
 let t_v2_empty_trace () =
   let path = tmp "foray_v2_empty.tr" in
   Tracefile.save ~format:Tracefile.Binary2 path [];
-  Alcotest.(check int) "no events" 0 (List.length (Tracefile.load path));
+  Alcotest.(check int) "no events" 0 (List.length (Tutil.load path));
   Alcotest.(check int) "no mapped events" 0
     (Tracefile.mapped_events (Tracefile.map path))
 
@@ -238,7 +239,7 @@ let t_v2_frame_boundaries () =
   let trace = sample_trace () in
   let path = tmp "foray_v2_frames.tr" in
   Tracefile.save ~frame_events:2 ~format:Tracefile.Binary2 path trace;
-  check_equal_traces "tiny frames" trace (Tracefile.load path)
+  check_equal_traces "tiny frames" trace (Tutil.load path)
 
 let t_v2_escape_paths () =
   (* head-byte escapes: loop ids past the 4-bit inline range, more sites
@@ -257,7 +258,7 @@ let t_v2_escape_paths () =
   in
   let path = tmp "foray_v2_escape.tr" in
   Tracefile.save ~frame_events:4 ~format:Tracefile.Binary2 path trace;
-  check_equal_traces "escape paths" trace (Tracefile.load path)
+  check_equal_traces "escape paths" trace (Tutil.load path)
 
 let t_v2_truncated () =
   let trace = sample_trace () in
@@ -270,7 +271,7 @@ let t_v2_truncated () =
       write_file path (String.sub bytes 0 (String.length bytes - chop));
       expect_corrupt
         (Printf.sprintf "v2 chopped %d byte(s)" chop)
-        (fun () -> Tracefile.load path))
+        path)
     [ 1; 7; 64 ]
 
 let t_v2_bad_frame_header () =
@@ -282,13 +283,13 @@ let t_v2_bad_frame_header () =
   Bytes.set bytes 8 (Char.chr (Char.code (Bytes.get bytes 8) lxor 1));
   let path = tmp "foray_v2_hdr.tr" in
   write_file path (Bytes.to_string bytes);
-  expect_corrupt "v2 frame magic" (fun () -> Tracefile.load path);
+  expect_corrupt "v2 frame magic" path;
   (* oversized body_len walks the next frame off the end of the file *)
   let bytes = Bytes.of_string (read_file src) in
   Bytes.set bytes 12 '\xff';
   Bytes.set bytes 13 '\xff';
   write_file path (Bytes.to_string bytes);
-  expect_corrupt "v2 oversized body" (fun () -> Tracefile.load path)
+  expect_corrupt "v2 oversized body" path
 
 (* Differential property: the v2 encoder/decoder agrees with v1 on
    arbitrary event streams, with a frame budget small enough that frame
@@ -324,7 +325,7 @@ let prop_v2_equals_v1 =
       let p1 = tmp "foray_q_v1.tr" and p2 = tmp "foray_q_v2.tr" in
       Tracefile.save ~format:Tracefile.Binary p1 trace;
       Tracefile.save ~frame_events:4 ~format:Tracefile.Binary2 p2 trace;
-      let b1 = Tracefile.load p1 and b2 = Tracefile.load p2 in
+      let b1 = Tutil.load p1 and b2 = Tutil.load p2 in
       List.length b1 = List.length trace
       && List.length b2 = List.length trace
       && List.for_all2 Event.equal b1 b2)
@@ -357,7 +358,7 @@ let t_v2_convert_extremes () =
   | Ok s, src, dst ->
       Alcotest.(check int) "no resync" 0 s.Tracefile.resyncs;
       Alcotest.(check bool) "round-trips" true
-        (Tracefile.load dst
+        (Tutil.load dst
         = [ access 0x3fff_ffff_ffff_fff0 true; access 0x10 false ]);
       analyzes src;
       analyzes dst
@@ -369,6 +370,71 @@ let t_v2_convert_extremes () =
       analyzes src;
       analyzes dst
   | Error _, _, _ -> Alcotest.fail "bit-62 address not salvaged"
+
+(* Two hand-made one-frame FORAYTR2 files whose one record carries a
+   negative field: a width varint of ff x8 7f (-1), and a dictionary site
+   of the same bytes. The mapped reader, strict analysis and salvage all
+   decode FORAYTR2 through one frame decoder, so all three see the
+   damage. *)
+let t_v2_negative_fields () =
+  let u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff)) in
+  let neg = String.make 8 '\xff' ^ "\x7f" in
+  List.iter
+    (fun (name, body) ->
+      let path = tmp name in
+      write_file path
+        ("FORAYTR2\xf7FR2" ^ u32 (String.length body) ^ u32 1 ^ u32 0 ^ u32 1
+       ^ u32 0 ^ body);
+      (match Tracefile.iter_mapped (Tracefile.map path) Event.null_sink with
+      | () -> Alcotest.failf "%s: the mapped reader accepted it" name
+      | exception Tracefile.Corrupt _ -> ());
+      (match Foray_core.Pipeline.analyze_trace ~strict:true path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: strict analysis accepted it" name);
+      match Foray_core.Pipeline.analyze_trace path with
+      | Ok (_, salvage) ->
+          Alcotest.(check bool) (name ^ ": degraded") true
+            (Foray_core.Pipeline.salvage_degradations salvage <> [])
+      | Error _ -> Alcotest.failf "%s: salvage mode returned an error" name)
+    [ ("foray_v2_negwidth.tr", "\x01\x01" ^ neg ^ "\x08");
+      ("foray_v2_negsite.tr", neg ^ "\x11\x08") ]
+
+(* The readers decode out of a mapping, not a copy of the file: the
+   major-heap words allocated between the call to [read] and the first
+   event reaching the sink do not grow with the file. *)
+let t_read_heap_constant () =
+  let trace n =
+    List.concat
+      (List.init n (fun i ->
+           [ Event.Checkpoint { loop = 1; kind = Event.Body_enter };
+             Event.Access
+               { site = 0x42; addr = 0x1000 + (4 * i); write = false;
+                 sys = false; width = 4 } ]))
+  in
+  let major_words_before_first_event format n =
+    let path = tmp "foray_heap.tr" in
+    Tracefile.save ~format path (trace n);
+    let exception First in
+    let before = (Gc.quick_stat ()).major_words in
+    let first = ref before in
+    (match
+       Tracefile.read path (fun _ ->
+           first := (Gc.quick_stat ()).major_words;
+           raise First)
+     with
+    | _ -> Alcotest.fail "no event reached the sink"
+    | exception First -> ());
+    !first -. before
+  in
+  List.iter
+    (fun (name, format) ->
+      let small = major_words_before_first_event format 4096 in
+      let big = major_words_before_first_event format (16 * 4096) in
+      if big > small +. 16384. then
+        Alcotest.failf
+          "%s: %.0f major words before the first event at 16x, %.0f at 1x"
+          name big small)
+    [ ("text", Tracefile.Text); ("v1", Tracefile.Binary) ]
 
 let tests =
   [
@@ -399,4 +465,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_v2_equals_v1;
     Alcotest.test_case "v2 converts extreme addresses" `Quick
       t_v2_convert_extremes;
+    Alcotest.test_case "v2 negative fields rejected by every reader" `Quick
+      t_v2_negative_fields;
+    Alcotest.test_case "read heap does not grow with the file" `Quick
+      t_read_heap_constant;
   ]

@@ -32,6 +32,19 @@ let run_to_trace ?(config = Interp.default_config) prog =
   let res = Interp.run ~config prog ~sink in
   (res, get ())
 
+(* A whole stored trace through the strict reader: its events in order,
+   or the first damage. *)
+let read_strict path =
+  let sink, get = Foray_trace.Event.collector () in
+  Result.map (fun _ -> get ()) (Foray_trace.Tracefile.read ~strict:true path sink)
+
+let load path =
+  match read_strict path with
+  | Ok events -> events
+  | Error c ->
+      Alcotest.failf "%s: corrupt at byte %d: %s" path
+        c.Foray_trace.Tracefile.offset c.kind
+
 (* Offline analysis: simulate to a stored trace, then replay the trace
    through a fresh walker — sequentially, or through a FORAYTR2 file cut
    into [shards] frame-index shards when [shards > 1]. The online ==
