@@ -403,17 +403,15 @@ let trace_cmd =
           finish_degraded (Foray_core.Pipeline.salvage_degradations salvage)
   in
   (* Print the first [limit] events a sink receives; [finish] marks a
-     cut listing. *)
+     listing that left events out. *)
   let printer limit =
-    let printed = ref 0 in
+    let seen = ref 0 in
     let sink e =
-      if !printed < limit then begin
-        print_endline (Foray_trace.Event.to_line e);
-        incr printed
-      end
+      if !seen < limit then print_endline (Foray_trace.Event.to_line e);
+      incr seen
     in
     let finish () =
-      if !printed >= limit then
+      if !seen > limit then
         Printf.printf "... (truncated at %d events)\n" limit
     in
     (sink, finish)

@@ -462,7 +462,10 @@ let frame_header (buf : mapping) p ~before =
 
 (* The only FORAYTR2 record decoder. Unchecked byte access is bounded:
    every read first tests the cursor against [f_end], which
-   {!frame_header} proved lies inside the mapping. Events reach [sink] as
+   {!frame_header} proved lies inside the mapping. Unchecked array access
+   is bounded too: a dictionary index is tested against both ends before
+   it reaches [prev] or [sites], since an escaped index is a varint that
+   damaged input can make negative. Events reach [sink] as
    they decode, so a frame that dies halfway has delivered its prefix. A
    sign test guards [checked], which names the damage: calling it on
    every event costs a third of the decode rate. *)
@@ -498,6 +501,7 @@ let decode_frame (buf : mapping) f (sink : Event.sink) =
     end
   in
   let count = ref 0 in
+  (try
   while !pos < limit do
     let at = !pos in
     let head = Char.code (Bigarray.Array1.unsafe_get buf at) in
@@ -520,7 +524,7 @@ let decode_frame (buf : mapping) f (sink : Event.sink) =
       in
       let si = (head lsr 5) land 7 in
       let si = if si = 7 then varint () else si in
-      if si >= nsites then damage at "site index outside dictionary";
+      if si < 0 || si >= nsites then damage at "site index outside dictionary";
       let addr = Array.unsafe_get prev si + unzigzag (varint ()) in
       Array.unsafe_set prev si addr;
       incr count;
@@ -529,12 +533,15 @@ let decode_frame (buf : mapping) f (sink : Event.sink) =
       if site lor addr lor width < 0 then ignore (checked at e);
       sink e
     end
-  done;
+  done
+  with e ->
+    Obs.add m_events_read !count;
+    raise e);
+  Obs.add m_events_read !count;
   if !count <> f.f_events then
     damage f.f_start
       (Printf.sprintf "frame claims %d event(s), decoded %d" f.f_events !count);
-  Obs.incr m_frames_read;
-  Obs.add m_events_read f.f_events
+  Obs.incr m_frames_read
 
 (* --- zero-copy mapped reader (v2) -------------------------------------- *)
 

@@ -18,7 +18,9 @@
 
     Each format has exactly one decoder, and every reader runs it over a
     read-only [Unix.map_file] mapping of the file: nothing is loaded into
-    the heap, so reading takes constant memory whatever the file size.
+    the heap. Binary records decode in place and text is copied one line
+    at a time, so a reader's memory is bounded by the longest text line,
+    not by the file size.
     {!read} detects the format from the magic and either salvages damaged
     content or, with [~strict:true], returns the first damage as a value
     — a binary stream may only end at a record boundary, so a file chopped
@@ -90,7 +92,10 @@ val map : string -> mapped
 val mapped_events : mapped -> int
 
 (** [iter_mapped m sink] decodes every frame in order — the sequential
-    read. Reports [trace.frames_read]/[trace.events_read] per frame.
+    read. Reports [trace.frames_read] per whole frame and
+    [trace.events_read] per event delivered, a damaged frame's prefix
+    included. The salvaging {!read} counts v2 frames and events the same
+    way.
     @raise Corrupt if a record is damaged or a frame body contradicts its
     validated header; the events before it have reached [sink]. *)
 val iter_mapped : mapped -> Event.sink -> unit

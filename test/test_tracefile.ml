@@ -86,6 +86,17 @@ let expect_corrupt what path =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail (what ^ ": expected a corruption")
 
+(* A damaged FORAYTR2 file also fails the mapped reader with [Corrupt],
+   which strict analysis turns into an [Error] by way of the salvaging
+   reader it falls back to. *)
+let expect_mapped_corrupt what path =
+  (match Tracefile.iter_mapped (Tracefile.map path) Event.null_sink with
+  | () -> Alcotest.failf "%s: the mapped reader accepted it" what
+  | exception Tracefile.Corrupt _ -> ());
+  match Foray_core.Pipeline.analyze_trace ~strict:true path with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s: strict analysis accepted it" what
+
 let t_corrupt_binary () =
   let path = tmp "foray_corrupt.tr" in
   let oc = open_out_bin path in
@@ -224,7 +235,26 @@ let t_v2_obs_counters () =
       Alcotest.(check int) "frames read = frames written"
         (v "trace.frames_written") (v "trace.frames_read");
       Alcotest.(check bool) "bytes mapped covers the file" true
-        (v "trace.bytes_mapped" > 8))
+        (v "trace.bytes_mapped" > 8);
+      (* The last byte of the first frame's body gains a continuation
+         bit, so that frame's last varint runs off its end: the records
+         before it reach the sink, and salvage counts them with the
+         rest. *)
+      let bytes = Bytes.of_string (read_file path) in
+      let last = 8 + 24 + Bytes.get_uint16_le bytes 12 - 1 in
+      Bytes.set bytes last (Char.chr (Char.code (Bytes.get bytes last) lor 0x80));
+      write_file path (Bytes.to_string bytes);
+      let written = v "trace.frames_written" in
+      Foray_obs.Obs.reset ();
+      match Tracefile.read path Event.null_sink with
+      | Error _ -> Alcotest.fail "salvage returned an error"
+      | Ok s ->
+          Alcotest.(check int) "all but the damaged event salvaged"
+            (List.length trace - 1) s.Tracefile.events;
+          Alcotest.(check int) "events read = events salvaged" s.events
+            (v "trace.events_read");
+          Alcotest.(check int) "the damaged frame is not a frame read"
+            (written - 1) (v "trace.frames_read"))
 
 let t_v2_empty_trace () =
   let path = tmp "foray_v2_empty.tr" in
@@ -269,9 +299,9 @@ let t_v2_truncated () =
     (fun chop ->
       let path = tmp (Printf.sprintf "foray_v2_trunc_%d.tr" chop) in
       write_file path (String.sub bytes 0 (String.length bytes - chop));
-      expect_corrupt
-        (Printf.sprintf "v2 chopped %d byte(s)" chop)
-        path)
+      let what = Printf.sprintf "v2 chopped %d byte(s)" chop in
+      expect_corrupt what path;
+      expect_mapped_corrupt what path)
     [ 1; 7; 64 ]
 
 let t_v2_bad_frame_header () =
@@ -284,12 +314,14 @@ let t_v2_bad_frame_header () =
   let path = tmp "foray_v2_hdr.tr" in
   write_file path (Bytes.to_string bytes);
   expect_corrupt "v2 frame magic" path;
+  expect_mapped_corrupt "v2 frame magic" path;
   (* oversized body_len walks the next frame off the end of the file *)
   let bytes = Bytes.of_string (read_file src) in
   Bytes.set bytes 12 '\xff';
   Bytes.set bytes 13 '\xff';
   write_file path (Bytes.to_string bytes);
-  expect_corrupt "v2 oversized body" path
+  expect_corrupt "v2 oversized body" path;
+  expect_mapped_corrupt "v2 oversized body" path
 
 (* Differential property: the v2 encoder/decoder agrees with v1 on
    arbitrary event streams, with a frame budget small enough that frame
@@ -371,11 +403,12 @@ let t_v2_convert_extremes () =
       analyzes dst
   | Error _, _, _ -> Alcotest.fail "bit-62 address not salvaged"
 
-(* Two hand-made one-frame FORAYTR2 files whose one record carries a
-   negative field: a width varint of ff x8 7f (-1), and a dictionary site
-   of the same bytes. The mapped reader, strict analysis and salvage all
-   decode FORAYTR2 through one frame decoder, so all three see the
-   damage. *)
+(* Three hand-made one-frame FORAYTR2 files whose one record carries a
+   negative field: a width varint of ff x8 7f (-1), a dictionary site of
+   the same bytes, and an escaped site index of the same bytes, which
+   must not reach the decoder's unchecked array access. The mapped
+   reader, strict analysis and salvage all decode FORAYTR2 through one
+   frame decoder, so all three see the damage. *)
 let t_v2_negative_fields () =
   let u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff)) in
   let neg = String.make 8 '\xff' ^ "\x7f" in
@@ -385,19 +418,15 @@ let t_v2_negative_fields () =
       write_file path
         ("FORAYTR2\xf7FR2" ^ u32 (String.length body) ^ u32 1 ^ u32 0 ^ u32 1
        ^ u32 0 ^ body);
-      (match Tracefile.iter_mapped (Tracefile.map path) Event.null_sink with
-      | () -> Alcotest.failf "%s: the mapped reader accepted it" name
-      | exception Tracefile.Corrupt _ -> ());
-      (match Foray_core.Pipeline.analyze_trace ~strict:true path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "%s: strict analysis accepted it" name);
+      expect_mapped_corrupt name path;
       match Foray_core.Pipeline.analyze_trace path with
       | Ok (_, salvage) ->
           Alcotest.(check bool) (name ^ ": degraded") true
             (Foray_core.Pipeline.salvage_degradations salvage <> [])
       | Error _ -> Alcotest.failf "%s: salvage mode returned an error" name)
     [ ("foray_v2_negwidth.tr", "\x01\x01" ^ neg ^ "\x08");
-      ("foray_v2_negsite.tr", neg ^ "\x11\x08") ]
+      ("foray_v2_negsite.tr", neg ^ "\x11\x08");
+      ("foray_v2_negindex.tr", "\x01\xf1" ^ neg ^ "\x08") ]
 
 (* The readers decode out of a mapping, not a copy of the file: the
    major-heap words allocated between the call to [read] and the first
